@@ -13,6 +13,24 @@
 namespace ovl
 {
 
+namespace
+{
+
+/** The TLB fill for @p pte; the caller adds the OBitVector if needed. */
+TlbEntryData
+tlbEntryFromPte(const Pte &pte)
+{
+    TlbEntryData data;
+    data.ppn = pte.ppn;
+    data.writable = pte.writable;
+    data.cow = pte.cow;
+    data.overlayEnabled = pte.overlayEnabled;
+    data.metadataMode = pte.metadataMode;
+    return data;
+}
+
+} // namespace
+
 OverlayAwareMemController::OverlayAwareMemController(std::string name,
                                                      DramController &dram,
                                                      OverlayManager &ovm)
@@ -127,12 +145,7 @@ System::translate(Asid asid, Addr vpn, Tick &t, AccessOutcome *outcome,
         ovl_fatal("access to unmapped page: asid=%u vpn=%llx",
                   unsigned(asid), (unsigned long long)vpn);
     }
-    TlbEntryData data;
-    data.ppn = pte->ppn;
-    data.writable = pte->writable;
-    data.cow = pte->cow;
-    data.overlayEnabled = pte->overlayEnabled;
-    data.metadataMode = pte->metadataMode;
+    TlbEntryData data = tlbEntryFromPte(*pte);
     if (pte->overlayEnabled && config_.overlaysEnabled) {
         // The TLB fill also fetches the OBitVector from the OMT (§4.3).
         // Because the virtual-to-overlay mapping is direct (§4.1), the
@@ -237,12 +250,7 @@ System::accessFunctional(Asid asid, Addr vaddr, bool is_write, unsigned core)
             ovl_fatal("functional access to unmapped page: asid=%u vpn=%llx",
                       unsigned(asid), (unsigned long long)vpn);
         }
-        TlbEntryData data;
-        data.ppn = pte->ppn;
-        data.writable = pte->writable;
-        data.cow = pte->cow;
-        data.overlayEnabled = pte->overlayEnabled;
-        data.metadataMode = pte->metadataMode;
+        TlbEntryData data = tlbEntryFromPte(*pte);
         if (pte->overlayEnabled && config_.overlaysEnabled) {
             data.obv = overlayMgr_.obitvector(
                 overlay_addr::pageFromVirtual(asid, vpn));
@@ -288,13 +296,7 @@ System::accessFunctional(Asid asid, Addr vaddr, bool is_write, unsigned core)
                     caches_.warmLine((pte->ppn << kPageShift) | off, true);
                 }
             }
-            TlbEntryData data;
-            data.ppn = pte->ppn;
-            data.writable = pte->writable;
-            data.cow = pte->cow;
-            data.overlayEnabled = pte->overlayEnabled;
-            data.metadataMode = pte->metadataMode;
-            entry = tlbs_[core]->fill(asid, vpn, data);
+            entry = tlbs_[core]->fill(asid, vpn, tlbEntryFromPte(*pte));
         }
     }
 
@@ -348,13 +350,7 @@ System::serviceCowFault(Asid asid, Addr vaddr, TlbEntryData *&entry,
     for (auto &tlb : tlbs_)
         tlb->invalidate(asid, vpn, t);
 
-    TlbEntryData data;
-    data.ppn = pte->ppn;
-    data.writable = pte->writable;
-    data.cow = pte->cow;
-    data.overlayEnabled = pte->overlayEnabled;
-    data.metadataMode = pte->metadataMode;
-    entry = tlbs_[core]->fill(asid, vpn, data);
+    entry = tlbs_[core]->fill(asid, vpn, tlbEntryFromPte(*pte));
     if (trace::active())
         trace::end("overlay", "cow_fault", t);
     return t;

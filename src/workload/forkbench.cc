@@ -35,14 +35,6 @@ struct WriteSchedule
     }
 };
 
-WriteSchedule
-buildSchedule(const ForkBenchParams &p, Rng &rng)
-{
-    WriteSchedule sched;
-    sched.addrs = buildWriteSchedule(p, rng);
-    return sched;
-}
-
 } // namespace
 
 std::vector<Addr>
@@ -381,36 +373,169 @@ streamPhaseGenResumable(Exec &&execute, const ForkBenchParams &p, Rng &rng,
     }
 }
 
-/** Run a whole phase in one go (the non-checkpointing callers). */
-template <typename Exec>
-void
-streamPhaseGen(Exec &&execute, const ForkBenchParams &p, Rng &rng,
-               std::uint64_t num_instructions, WriteSchedule *schedule)
+/** @p config named after the benchmark (the stats-dump prefix). */
+SystemConfig
+namedConfig(SystemConfig config, const std::string &name)
 {
-    StreamPhaseState st = makePhaseState(
-        p, num_instructions,
-        schedule != nullptr ? std::move(*schedule) : WriteSchedule{},
-        schedule != nullptr);
-    streamPhaseGenResumable(std::forward<Exec>(execute), p, rng, st,
-                            [] { return false; });
-    if (schedule != nullptr)
-        *schedule = std::move(st.schedule);
+    config.name = name;
+    return config;
 }
 
-/** The classic detailed-only phase: every op goes through the core. */
-void
-streamPhase(OooCore &core, Asid asid, const ForkBenchParams &p, Rng &rng,
-            std::uint64_t num_instructions, WriteSchedule *schedule,
-            std::vector<TraceOp> *record = nullptr)
+/**
+ * One fork-bench run, staged (DESIGN.md §11.3): warmUp() → fork() →
+ * phase() → finish(). Every public entry point is a path through these
+ * steps; warm starts and checkpoints cut the path between two of them
+ * and resume it on a fresh run through load().
+ */
+struct ForkBenchRun
 {
-    streamPhaseGen(
-        [&](const TraceOp &op) {
-            core.executeOp(asid, op);
-            if (record != nullptr)
-                record->push_back(op);
-        },
-        p, rng, num_instructions, schedule);
-}
+    const ForkBenchParams &params;
+    System system;
+    OooCore core;
+    Rng rng;
+    StatsSampler *sampler;
+    ForkMode mode = ForkMode::CopyOnWrite;
+    Asid parent = 0;
+    Tick forkStart = 0; ///< warm-up epoch close; fork() issues here
+    Tick forkDone = 0;  ///< fork() completes; the post-fork epoch opens
+    Tick end = 0;       ///< post-fork epoch close
+
+    /**
+     * A fresh machine. When @p s is non-null it is attached for the
+     * whole run (warmup included) and finished/detached by finish().
+     */
+    ForkBenchRun(const ForkBenchParams &p, const SystemConfig &config,
+                 StatsSampler *s = nullptr)
+        : params(p), system(namedConfig(config, p.name)),
+          core(p.name + ".core", system), rng(p.seed), sampler(s)
+    {
+        if (sampler != nullptr)
+            system.attachStatsSampler(sampler, 0);
+    }
+
+    /** Create and map the parent, then run the warm-up epoch. */
+    void
+    warmUp()
+    {
+        parent = system.createProcess();
+        system.mapAnon(parent, kHeapBase, params.footprintPages * kPageSize);
+        // Warmup: populate caches/TLBs and dirty the address space so the
+        // fork has real pages to share.
+        StreamPhaseState st = makePhaseState(
+            params, params.warmupInstructions, WriteSchedule{}, false);
+        core.beginEpoch(0);
+        phase(st);
+        forkStart = core.finishEpoch();
+    }
+
+    /**
+     * fork(): the child idles (as in §5.1); the parent keeps running.
+     * Rebases memory and stats at the fork, opens the post-fork epoch and
+     * returns the post-fork phase state with its write schedule.
+     */
+    StreamPhaseState
+    fork(ForkMode m)
+    {
+        mode = m;
+        forkDone = forkStart;
+        system.fork(parent, mode, forkStart, &forkDone);
+        system.markMemoryBaseline();
+        system.resetStats();
+        StreamPhaseState st = makePhaseState(
+            params, params.postForkInstructions,
+            WriteSchedule{buildWriteSchedule(params, rng)}, true);
+        core.beginEpoch(forkDone);
+        return st;
+    }
+
+    /** Run @p st, feeding every op to @p exec, until done or @p stop. */
+    template <typename Exec, typename Stop>
+    void
+    phase(StreamPhaseState &st, Exec &&exec, Stop &&stop)
+    {
+        streamPhaseGenResumable(exec, params, rng, st, stop);
+    }
+
+    /** Run @p st to its end on the detailed core. */
+    void
+    phase(StreamPhaseState &st)
+    {
+        phase(
+            st, [this](const TraceOp &op) { core.executeOp(parent, op); },
+            [] { return false; });
+    }
+
+    /** Close the post-fork epoch and measure at the epoch's CPI. */
+    ForkBenchResult
+    finish()
+    {
+        end = core.finishEpoch();
+        // Memory accounting happens at steady state: dirty overlay lines
+        // still in the caches get their OMS slots on eviction (§4.3.3),
+        // so force the writebacks before measuring (the flush is
+        // excluded from the measured epoch).
+        system.caches().flushAll(end);
+        if (sampler != nullptr) {
+            sampler->finish(end);
+            system.detachStatsSampler();
+        }
+        return measure(core.epochCpi());
+    }
+
+    /** The run's figures, with @p cpi as Figure 9's CPI. */
+    ForkBenchResult
+    measure(double cpi) const
+    {
+        ForkBenchResult res;
+        res.name = params.name;
+        res.type = params.type;
+        res.mode = mode;
+        res.additionalMemoryMB =
+            double(system.additionalMemoryBytes()) / double(1_MiB);
+        res.cpi = cpi;
+        res.cowFaults = system.cowFaults();
+        res.overlayingWrites = system.overlayingWrites();
+        res.forkLatency = forkDone - forkStart;
+        return res;
+    }
+
+    /** Post-fork stats: text (System + core) and/or dumpAllStatsJson. */
+    void
+    dumpStats(std::ostream *text, std::ostream *json = nullptr)
+    {
+        if (text != nullptr) {
+            system.dumpAllStats(*text);
+            core.dumpStats(*text);
+        }
+        if (json != nullptr)
+            system.dumpAllStatsJson(*json);
+    }
+
+    /**
+     * The machine record, one order for the WARM payload and the FKCP
+     * checkpoint: RNG state, core, system.
+     */
+    void
+    save(snapshot::Writer &w)
+    {
+        for (std::uint64_t v : rng.rawState())
+            w.u64(v);
+        core.serialize(w);
+        system.serialize(w);
+    }
+
+    /** Restore a record written by save(). */
+    void
+    load(snapshot::Reader &r)
+    {
+        std::array<std::uint64_t, 4> raw;
+        for (std::uint64_t &v : raw)
+            v = r.u64();
+        rng.setRawState(raw);
+        core.deserialize(r);
+        system.deserialize(r);
+    }
+};
 
 } // namespace
 
@@ -488,63 +613,19 @@ runForkBench(const ForkBenchParams &params, ForkMode mode,
              std::vector<TraceOp> *record, StatsSampler *sampler,
              std::ostream *dump_stats_json)
 {
-    config.name = params.name;
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    Rng rng(params.seed);
-
-    if (sampler != nullptr)
-        system.attachStatsSampler(sampler, 0);
-
-    Asid parent = system.createProcess();
-    system.mapAnon(parent, kHeapBase, params.footprintPages * kPageSize);
-
-    // Warmup: populate caches/TLBs and dirty the address space so the
-    // fork has real pages to share.
-    core.beginEpoch(0);
-    streamPhase(core, parent, params, rng, params.warmupInstructions,
-                nullptr);
-    Tick t = core.finishEpoch();
-
-    // fork(): the child idles (as in §5.1); the parent keeps running.
-    Tick fork_done = t;
-    system.fork(parent, mode, t, &fork_done);
-    system.markMemoryBaseline();
-    system.resetStats();
-
-    WriteSchedule schedule = buildSchedule(params, rng);
-    core.beginEpoch(fork_done);
-    streamPhase(core, parent, params, rng, params.postForkInstructions,
-                &schedule, record);
-    Tick end = core.finishEpoch();
-
-    // Memory accounting happens at steady state: dirty overlay lines
-    // still in the caches get their OMS slots on eviction (§4.3.3), so
-    // force the writebacks before measuring (the flush is excluded from
-    // the measured epoch).
-    system.caches().flushAll(end);
-
-    if (sampler != nullptr) {
-        sampler->finish(end);
-        system.detachStatsSampler();
-    }
-
-    ForkBenchResult res;
-    res.name = params.name;
-    res.type = params.type;
-    res.mode = mode;
-    res.additionalMemoryMB =
-        double(system.additionalMemoryBytes()) / double(1_MiB);
-    res.cpi = core.epochCpi();
-    res.cowFaults = system.cowFaults();
-    res.overlayingWrites = system.overlayingWrites();
-    res.forkLatency = fork_done - t;
-    if (dump_stats != nullptr) {
-        system.dumpAllStats(*dump_stats);
-        core.dumpStats(*dump_stats);
-    }
-    if (dump_stats_json != nullptr)
-        system.dumpAllStatsJson(*dump_stats_json);
+    ForkBenchRun run(params, config, sampler);
+    run.warmUp();
+    StreamPhaseState st = run.fork(mode);
+    run.phase(
+        st,
+        [&](const TraceOp &op) {
+            run.core.executeOp(run.parent, op);
+            if (record != nullptr)
+                record->push_back(op);
+        },
+        [] { return false; });
+    ForkBenchResult res = run.finish();
+    run.dumpStats(dump_stats, dump_stats_json);
     return res;
 }
 
@@ -568,31 +649,15 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
 
     // ------------------------- sampled run ----------------------------
     {
-        config.name = params.name;
-        System system(config);
-        OooCore core(params.name + ".core", system);
-        Rng rng(params.seed);
-        if (sampler != nullptr)
-            system.attachStatsSampler(sampler, 0);
-
-        Asid parent = system.createProcess();
-        system.mapAnon(parent, kHeapBase,
-                       params.footprintPages * kPageSize);
-        core.beginEpoch(0);
-        streamPhase(core, parent, params, rng, params.warmupInstructions,
-                    nullptr);
-        Tick t = core.finishEpoch();
-        Tick fork_done = t;
-        system.fork(parent, mode, t, &fork_done);
-        system.markMemoryBaseline();
-        system.resetStats();
-
-        WriteSchedule schedule = buildSchedule(params, rng);
+        ForkBenchRun run(params, config, sampler);
+        run.warmUp();
+        StreamPhaseState st = run.fork(mode);
+        OooCore &core = run.core;
 
         // Windowed sink: a detailed prefix measured as its own core
         // epoch, then functional fast-forward to the window boundary.
         // Simulated time only advances inside detailed prefixes.
-        Tick cursor = fork_done;
+        Tick cursor = run.forkDone;
         Tick detail_start = cursor;
         std::uint64_t win_instr = 0;
         bool in_detail = true;
@@ -602,7 +667,6 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
         // it badly. Sampling applies to the steady state that follows.
         bool first_window = true;
         SampledWindow win;
-        core.beginEpoch(cursor);
 
         // Host-time split: one steady_clock stamp per segment boundary
         // (detailed→functional, window close), charged to the segment
@@ -643,13 +707,14 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
             core.beginEpoch(cursor);
         };
 
-        streamPhaseGen(
+        run.phase(
+            st,
             [&](const TraceOp &op) {
                 if (in_detail) {
-                    core.executeOp(parent, op);
+                    core.executeOp(run.parent, op);
                 } else if (op.kind != TraceOp::Kind::Compute) {
-                    system.accessFunctional(
-                        parent, op.vaddr,
+                    run.system.accessFunctional(
+                        run.parent, op.vaddr,
                         op.kind == TraceOp::Kind::Store,
                         core.coreIndex());
                 }
@@ -666,16 +731,10 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
                 if (win_instr >= sampled.intervalInstructions)
                     close_window();
             },
-            params, rng, params.postForkInstructions, &schedule);
+            [] { return false; });
         if (win_instr > 0)
             close_window();
-        cursor = core.finishEpoch(); // retire the epoch close_window armed
-
-        system.caches().flushAll(cursor);
-        if (sampler != nullptr) {
-            sampler->finish(cursor);
-            system.detachStatsSampler();
-        }
+        run.finish(); // retires the epoch close_window armed
 
         double est_cycles = 0.0;
         for (const SampledWindow &w : out.windows) {
@@ -685,17 +744,10 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
             out.detailedHostSeconds += w.detailedHostSeconds;
             out.functionalHostSeconds += w.functionalHostSeconds;
         }
-        out.sampled.name = params.name;
-        out.sampled.type = params.type;
-        out.sampled.mode = mode;
-        out.sampled.additionalMemoryMB =
-            double(system.additionalMemoryBytes()) / double(1_MiB);
-        out.sampled.cpi = out.totalInstructions != 0
-                              ? est_cycles / double(out.totalInstructions)
-                              : 0.0;
-        out.sampled.cowFaults = system.cowFaults();
-        out.sampled.overlayingWrites = system.overlayingWrites();
-        out.sampled.forkLatency = fork_done - t;
+        out.sampled = run.measure(
+            out.totalInstructions != 0
+                ? est_cycles / double(out.totalInstructions)
+                : 0.0);
     }
 
     if (!sampled.compareFull)
@@ -706,36 +758,21 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
     // to runForkBench — with issue-cursor snapshots at the same window
     // boundaries the sampled run used.
     {
-        config.name = params.name;
-        System system(config);
-        OooCore core(params.name + ".core", system);
-        Rng rng(params.seed);
-
-        Asid parent = system.createProcess();
-        system.mapAnon(parent, kHeapBase,
-                       params.footprintPages * kPageSize);
-        core.beginEpoch(0);
-        streamPhase(core, parent, params, rng, params.warmupInstructions,
-                    nullptr);
-        Tick t = core.finishEpoch();
-        Tick fork_done = t;
-        system.fork(parent, mode, t, &fork_done);
-        system.markMemoryBaseline();
-        system.resetStats();
-
-        WriteSchedule schedule = buildSchedule(params, rng);
-        core.beginEpoch(fork_done);
+        ForkBenchRun twin(params, config);
+        twin.warmUp();
+        StreamPhaseState st = twin.fork(mode);
         std::size_t wi = 0;
         std::uint64_t win_instr = 0;
-        Tick last_mark = fork_done;
-        streamPhaseGen(
+        Tick last_mark = twin.forkDone;
+        twin.phase(
+            st,
             [&](const TraceOp &op) {
-                core.executeOp(parent, op);
+                twin.core.executeOp(twin.parent, op);
                 win_instr += op.kind == TraceOp::Kind::Compute
                                  ? op.count
                                  : 1;
                 if (win_instr >= sampled.intervalInstructions) {
-                    Tick now = core.currentCycle();
+                    Tick now = twin.core.currentCycle();
                     if (wi < out.windows.size())
                         out.windows[wi].fullCycles = now - last_mark;
                     last_mark = now;
@@ -743,12 +780,10 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
                     win_instr = 0;
                 }
             },
-            params, rng, params.postForkInstructions, &schedule);
-        Tick end = core.finishEpoch();
+            [] { return false; });
+        out.fullCpi = twin.finish().cpi;
         if (win_instr > 0 && wi < out.windows.size())
-            out.windows[wi].fullCycles = end - last_mark;
-        system.caches().flushAll(end);
-        out.fullCpi = core.epochCpi();
+            out.windows[wi].fullCycles = twin.end - last_mark;
     }
 
     double err_sum = 0.0;
@@ -771,57 +806,20 @@ runForkBenchSampled(const ForkBenchParams &params, ForkMode mode,
     return out;
 }
 
-namespace
-{
-
-/** The shared measurement tail of every full-detail run variant. */
-ForkBenchResult
-measureResult(System &system, OooCore &core, const ForkBenchParams &params,
-              ForkMode mode, Tick fork_latency)
-{
-    ForkBenchResult res;
-    res.name = params.name;
-    res.type = params.type;
-    res.mode = mode;
-    res.additionalMemoryMB =
-        double(system.additionalMemoryBytes()) / double(1_MiB);
-    res.cpi = core.epochCpi();
-    res.cowFaults = system.cowFaults();
-    res.overlayingWrites = system.overlayingWrites();
-    res.forkLatency = fork_latency;
-    return res;
-}
-
-} // namespace
-
 ForkBenchWarmState
 prepareForkBenchWarmState(const ForkBenchParams &params, SystemConfig config)
 {
-    config.name = params.name;
-
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    Rng rng(params.seed);
-
-    Asid parent = system.createProcess();
-    system.mapAnon(parent, kHeapBase, params.footprintPages * kPageSize);
-
-    core.beginEpoch(0);
-    streamPhase(core, parent, params, rng, params.warmupInstructions,
-                nullptr);
+    ForkBenchRun run(params, config);
+    run.warmUp();
 
     ForkBenchWarmState warm;
     warm.params = params;
-    warm.config = config;
-    warm.warmupEnd = core.finishEpoch();
-    warm.parent = parent;
-
+    warm.config = run.system.config();
+    warm.warmupEnd = run.forkStart;
+    warm.parent = run.parent;
     snapshot::Writer w;
     w.beginSection("WARM");
-    system.serialize(w);
-    core.serialize(w);
-    for (std::uint64_t v : rng.rawState())
-        w.u64(v);
+    run.save(w);
     w.endSection();
     warm.machine = w.takeBuffer();
     return warm;
@@ -830,52 +828,26 @@ prepareForkBenchWarmState(const ForkBenchParams &params, SystemConfig config)
 ForkBenchResult
 runForkBenchFromWarmState(const ForkBenchWarmState &warm, ForkMode mode,
                           const SystemConfig *config_override,
-                          std::ostream *dump_stats,
-                          std::vector<TraceOp> *record)
+                          std::ostream *dump_stats)
 {
-    const ForkBenchParams &params = warm.params;
-    SystemConfig config = config_override != nullptr ? *config_override
-                                                     : warm.config;
-    config.name = params.name;
-
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    Rng rng(params.seed);
-
+    ForkBenchRun run(warm.params, config_override != nullptr
+                                      ? *config_override
+                                      : warm.config);
     snapshot::Reader r(warm.machine);
     r.expectSection("WARM");
-    system.deserialize(r);
-    core.deserialize(r);
-    std::array<std::uint64_t, 4> raw;
-    for (std::uint64_t &v : raw)
-        v = r.u64();
-    rng.setRawState(raw);
+    run.load(r);
     r.endSection();
     if (!r.atEnd())
         r.fail("trailing bytes after warm-state payload");
+    run.parent = warm.parent;
+    run.forkStart = warm.warmupEnd;
 
     // From here on the run is instruction-for-instruction the tail of
     // runForkBench: fork, rebase the stats, measure the post-fork epoch.
-    Asid parent = warm.parent;
-    Tick t = warm.warmupEnd;
-    Tick fork_done = t;
-    system.fork(parent, mode, t, &fork_done);
-    system.markMemoryBaseline();
-    system.resetStats();
-
-    WriteSchedule schedule = buildSchedule(params, rng);
-    core.beginEpoch(fork_done);
-    streamPhase(core, parent, params, rng, params.postForkInstructions,
-                &schedule, record);
-    Tick end = core.finishEpoch();
-    system.caches().flushAll(end);
-
-    ForkBenchResult res =
-        measureResult(system, core, params, mode, fork_done - t);
-    if (dump_stats != nullptr) {
-        system.dumpAllStats(*dump_stats);
-        core.dumpStats(*dump_stats);
-    }
+    StreamPhaseState st = run.fork(mode);
+    run.phase(st);
+    ForkBenchResult res = run.finish();
+    run.dumpStats(dump_stats);
     return res;
 }
 
@@ -888,27 +860,9 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
     ovl_assert(ckpt.everyTicks != 0 || ckpt.atTick != 0,
                "checkpointing needs --checkpoint-every or --at-tick");
 
-    config.name = params.name;
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    Rng rng(params.seed);
-
-    Asid parent = system.createProcess();
-    system.mapAnon(parent, kHeapBase, params.footprintPages * kPageSize);
-
-    core.beginEpoch(0);
-    streamPhase(core, parent, params, rng, params.warmupInstructions,
-                nullptr);
-    Tick t = core.finishEpoch();
-    Tick fork_done = t;
-    system.fork(parent, mode, t, &fork_done);
-    system.markMemoryBaseline();
-    system.resetStats();
-
-    WriteSchedule schedule = buildSchedule(params, rng);
-    StreamPhaseState st = makePhaseState(
-        params, params.postForkInstructions, std::move(schedule), true);
-    core.beginEpoch(fork_done);
+    ForkBenchRun run(params, config);
+    run.warmUp();
+    StreamPhaseState st = run.fork(mode);
 
     // Serializing observes the machine without touching it, so the
     // executed run is op-for-op the uninterrupted run.
@@ -918,23 +872,20 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
         w.str(params.name);
         w.u8(mode == ForkMode::CopyOnWrite ? 0 : 1);
         w.u64(params.postForkInstructions);
-        w.u16(parent);
-        w.u64(t);
-        w.u64(fork_done);
+        w.u16(run.parent);
+        w.u64(run.forkStart);
+        w.u64(run.forkDone);
         st.serialize(w);
-        for (std::uint64_t v : rng.rawState())
-            w.u64(v);
-        core.serialize(w);
-        system.serialize(w);
+        run.save(w);
         w.endSection();
         snapshot::writeSnapshotFile(ckpt.path, w.buffer());
     };
 
     Tick next_periodic =
-        ckpt.everyTicks != 0 ? fork_done + ckpt.everyTicks : 0;
+        ckpt.everyTicks != 0 ? run.forkDone + ckpt.everyTicks : 0;
     bool stopped = false;
     auto stop = [&]() -> bool {
-        Tick now = core.currentCycle();
+        Tick now = run.core.currentCycle();
         if (ckpt.everyTicks != 0 && now >= next_periodic) {
             write_checkpoint();
             while (next_periodic <= now)
@@ -948,15 +899,12 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
         return false;
     };
 
-    streamPhaseGenResumable(
-        [&](const TraceOp &op) { core.executeOp(parent, op); }, params,
-        rng, st, stop);
+    run.phase(
+        st, [&](const TraceOp &op) { run.core.executeOp(run.parent, op); },
+        stop);
     if (stopped)
         return std::nullopt;
-
-    Tick end = core.finishEpoch();
-    system.caches().flushAll(end);
-    return measureResult(system, core, params, mode, fork_done - t);
+    return run.finish();
 }
 
 ForkBenchResult
@@ -982,48 +930,35 @@ resumeForkBenchCheckpoint(const std::string &path)
     std::uint8_t mode_raw = r.u8();
     if (mode_raw > 1)
         r.fail("invalid fork mode " + std::to_string(mode_raw));
-    ForkMode mode = mode_raw == 0 ? ForkMode::CopyOnWrite
-                                  : ForkMode::OverlayOnWrite;
     params.postForkInstructions = r.u64();
     Asid parent = r.u16();
     Tick t = r.u64();
     Tick fork_done = r.u64();
-
     StreamPhaseState st;
     st.deserialize(r);
-    std::array<std::uint64_t, 4> raw;
-    for (std::uint64_t &v : raw)
-        v = r.u64();
 
     // `overlaysim forkbench` runs the default machine configuration;
     // structural mismatches between it and the checkpointed machine are
-    // caught by the per-component deserialize checks below.
-    SystemConfig config;
-    config.name = params.name;
-    System system(config);
-    OooCore core(params.name + ".core", system);
-    core.deserialize(r);
-    system.deserialize(r);
+    // caught by the per-component deserialize checks in load().
+    ForkBenchRun run(params, SystemConfig{});
+    run.mode = mode_raw == 0 ? ForkMode::CopyOnWrite
+                             : ForkMode::OverlayOnWrite;
+    run.parent = parent;
+    run.forkStart = t;
+    run.forkDone = fork_done;
+    run.load(r);
     r.endSection();
     if (!r.atEnd())
         r.fail("trailing bytes after checkpoint payload");
-    if (parent >= system.vmm().processCount()) {
+    if (parent >= run.system.vmm().processCount()) {
         r.fail("checkpoint parent ASID " + std::to_string(parent) +
                " not among the " +
-               std::to_string(system.vmm().processCount()) +
+               std::to_string(run.system.vmm().processCount()) +
                " restored processes");
     }
 
-    Rng rng(params.seed);
-    rng.setRawState(raw);
-
-    streamPhaseGenResumable(
-        [&](const TraceOp &op) { core.executeOp(parent, op); }, params,
-        rng, st, [] { return false; });
-
-    Tick end = core.finishEpoch();
-    system.caches().flushAll(end);
-    return measureResult(system, core, params, mode, fork_done - t);
+    run.phase(st);
+    return run.finish();
 }
 
 } // namespace ovl

@@ -13,6 +13,13 @@
  *
  * The experiment: warm up, fork(), then run the parent while the child
  * idles; measure additional memory (Figure 8) and CPI (Figure 9).
+ *
+ * Every entry point below is a path through one internal staged run
+ * (DESIGN.md §11.3): warm up → fork → post-fork phase → finish and
+ * measure. Ops come from one resumable generator
+ * (streamPhaseGenResumable), so all paths issue the identical op stream;
+ * warm states and checkpoints cut the run between stages and save the
+ * same machine record (RNG state, core, system).
  */
 
 #ifndef OVERLAYSIM_WORKLOAD_FORKBENCH_HH
@@ -233,7 +240,10 @@ struct ForkBenchWarmState
     Tick warmupEnd = 0;
     /** Parent process ASID. */
     Asid parent = 0;
-    /** System + core + RNG snapshot payload. */
+    /**
+     * A `WARM` section holding the machine record: RNG state, core,
+     * system — the order of the FKCP checkpoint's record.
+     */
     std::vector<std::uint8_t> machine;
 };
 
@@ -247,7 +257,8 @@ ForkBenchWarmState prepareForkBenchWarmState(const ForkBenchParams &params,
 
 /**
  * Run the post-fork measurement phase from a warm state. Produces a
- * result byte-identical to runForkBench(warm.params, mode, warm.config):
+ * result, and a @p dump_stats dump, byte-identical to
+ * runForkBench(warm.params, mode, warm.config):
  * the restored machine, core and RNG continue exactly where the prefix
  * stopped. @p config_override (optional) swaps in a config that may
  * differ from warm.config in policy fields only (promote threshold, OS
@@ -256,8 +267,7 @@ ForkBenchWarmState prepareForkBenchWarmState(const ForkBenchParams &params,
 ForkBenchResult runForkBenchFromWarmState(
     const ForkBenchWarmState &warm, ForkMode mode,
     const SystemConfig *config_override = nullptr,
-    std::ostream *dump_stats = nullptr,
-    std::vector<TraceOp> *record = nullptr);
+    std::ostream *dump_stats = nullptr);
 
 // ----- crash-resumable checkpoint/restore (DESIGN.md §11) --------------
 

@@ -143,6 +143,8 @@ TEST(WarmStart, MatchesColdRunsAcrossPatternsAndModes)
 {
     // One benchmark per WritePattern (libq: Windowed, lbm: Streaming,
     // cactus: Clustered); both fork modes fan out from ONE warm state.
+    // Beyond the result fields, the post-fork stats dumps must match
+    // byte for byte.
     for (const char *name : {"libq", "lbm", "cactus"}) {
         ForkBenchParams p = smallParams(name);
         ForkBenchWarmState warm =
@@ -152,11 +154,13 @@ TEST(WarmStart, MatchesColdRunsAcrossPatternsAndModes)
             SCOPED_TRACE(std::string(name) +
                          (mode == ForkMode::CopyOnWrite ? "/cow"
                                                         : "/oow"));
+            std::ostringstream cold_stats, warm_stats;
             ForkBenchResult cold =
-                runForkBench(p, mode, SystemConfig{});
-            ForkBenchResult from_warm =
-                runForkBenchFromWarmState(warm, mode);
+                runForkBench(p, mode, SystemConfig{}, &cold_stats);
+            ForkBenchResult from_warm = runForkBenchFromWarmState(
+                warm, mode, nullptr, &warm_stats);
             expectSameResult(cold, from_warm);
+            EXPECT_EQ(cold_stats.str(), warm_stats.str());
         }
     }
 }
