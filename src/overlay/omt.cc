@@ -105,9 +105,27 @@ Omt::erase(Opn opn)
     --chunk->live;
     --size_;
     ++entriesErased_;
-    // Chunks (and their radix nodes) are retained: table nodes are never
-    // freed, so walks of erased OPNs still see the full path, exactly as
-    // a hardware table walk would.
+    // The chunk (until a teardown drops it, see dropEmptyChunks) and its
+    // radix nodes are retained: table nodes are never freed, so walks of
+    // erased OPNs still see the full path, exactly as a hardware table
+    // walk would.
+}
+
+void
+Omt::dropEmptyChunks(Opn lo, Opn hi)
+{
+    auto first = chunks_.begin() +
+                 (lowerBoundChunk(lo >> kChunkBits) - chunks_.cbegin());
+    auto last = std::find_if(first, chunks_.end(), [&](const auto &e) {
+        return (e.first << kChunkBits) >= hi;
+    });
+    chunks_.erase(std::remove_if(first, last,
+                                 [](const auto &e) {
+                                     return e.second->live == 0;
+                                 }),
+                  last);
+    cachedChunkId_ = ~std::uint64_t(0);
+    cachedChunk_ = nullptr;
 }
 
 Addr

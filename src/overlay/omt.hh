@@ -126,16 +126,41 @@ class Omt : public SimObject
     void
     forEach(Fn &&fn) const
     {
-        for (const auto &[chunk_id, chunk] : chunks_) {
-            if (chunk->live == 0)
+        forEachInRange(0, kInvalidAddr, fn);
+    }
+
+    /**
+     * Visit the live entries with @p lo <= opn < @p hi as fn(opn, entry),
+     * in ascending OPN order. Only the chunks overlapping the range are
+     * visited, so the cost follows the populated windows, not the range.
+     * @p fn must not create or erase entries.
+     */
+    template <typename Fn>
+    void
+    forEachInRange(Opn lo, Opn hi, Fn &&fn) const
+    {
+        for (auto it = lowerBoundChunk(lo >> kChunkBits);
+             it != chunks_.end() && (it->first << kChunkBits) < hi; ++it) {
+            const Chunk &chunk = *it->second;
+            if (chunk.live == 0)
                 continue;
+            Opn base = Opn(it->first << kChunkBits);
             for (unsigned s = 0; s < kChunkSize; ++s) {
-                std::uint32_t idx = chunk->slots[s];
-                if (idx != kNoEntry)
-                    fn(Opn((chunk_id << kChunkBits) | s), arena_[idx]);
+                std::uint32_t idx = chunk.slots[s];
+                Opn opn = base | s;
+                if (idx != kNoEntry && opn >= lo && opn < hi)
+                    fn(opn, arena_[idx]);
             }
         }
     }
+
+    /**
+     * Free the host structs of the empty chunks overlapping [@p lo,
+     * @p hi) (a torn-down process's OPN range). Only the directory
+     * shrinks: the radix node pages stay allocated, so walks of those
+     * OPNs still return the same lines (DESIGN.md §10.1).
+     */
+    void dropEmptyChunks(Opn lo, Opn hi);
 
   private:
     static constexpr unsigned kChunkBits = 9;
@@ -162,6 +187,18 @@ class Omt : public SimObject
         std::uint32_t live = 0;
     };
 
+    using ChunkDir =
+        std::vector<std::pair<std::uint64_t, std::unique_ptr<Chunk>>>;
+
+    /** First directory entry with id >= @p chunk_id. */
+    ChunkDir::const_iterator
+    lowerBoundChunk(std::uint64_t chunk_id) const
+    {
+        return std::lower_bound(
+            chunks_.begin(), chunks_.end(), chunk_id,
+            [](const auto &e, std::uint64_t id) { return e.first < id; });
+    }
+
     Chunk *findChunk(std::uint64_t chunk_id) const;
     Chunk &ensureChunk(std::uint64_t chunk_id);
     /** Record the chunk's four walk lines (path must exist). */
@@ -173,7 +210,7 @@ class Omt : public SimObject
     PageAllocFn nodePageAlloc_;
 
     /** Directory of leaf chunks, sorted by chunk id. */
-    std::vector<std::pair<std::uint64_t, std::unique_ptr<Chunk>>> chunks_;
+    ChunkDir chunks_;
     mutable std::uint64_t cachedChunkId_ = ~std::uint64_t(0);
     mutable Chunk *cachedChunk_ = nullptr;
 
@@ -204,9 +241,7 @@ Omt::findChunk(std::uint64_t chunk_id) const
     // overlays share one chunk), so the MRU compare almost always wins.
     if (chunk_id == cachedChunkId_)
         return cachedChunk_;
-    auto it = std::lower_bound(
-        chunks_.begin(), chunks_.end(), chunk_id,
-        [](const auto &e, std::uint64_t id) { return e.first < id; });
+    auto it = lowerBoundChunk(chunk_id);
     if (it == chunks_.end() || it->first != chunk_id)
         return nullptr;
     cachedChunkId_ = chunk_id;

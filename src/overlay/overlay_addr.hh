@@ -31,6 +31,12 @@ constexpr Addr kOverlayBit = Addr(1) << 63;
 /** Maximum process count supported by the concatenation scheme: 2^15. */
 constexpr unsigned kMaxProcesses = 1u << kAsidBits;
 
+/**
+ * Overlay pages of one process: the OPNs of process `asid` are
+ * [pageFromVirtual(asid, 0), pageFromVirtual(asid, 0) + kPagesPerProcess).
+ */
+constexpr Addr kPagesPerProcess = Addr(1) << (kVaddrBits - kPageShift);
+
 /** True if @p addr lies in the Overlay Address Space. */
 constexpr bool
 isOverlay(Addr addr)

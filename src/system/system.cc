@@ -625,6 +625,42 @@ System::metadataPeek(Asid asid, Addr vaddr, void *out,
 
 // ------------------------------ fork -----------------------------------
 
+template <typename CopyLine>
+void
+System::copyOverlays(Asid parent, Asid child, CopyLine &&copy_line)
+{
+    if (!config_.overlaysEnabled)
+        return;
+    // One ascending walk over the parent's OPN range finds its overlay
+    // pages: the cost follows the overlays, not the mapped pages. OPNs
+    // ascend with VPNs, and the copy order is part of the deterministic
+    // timing contract (it decides the cache/DRAM access sequence).
+    // Collect first: creating the child's entries can insert chunks into
+    // the directory being walked.
+    Opn first = overlay_addr::pageFromVirtual(parent, 0);
+    const PageTable &table = vmm_.process(parent).pageTable;
+    std::vector<std::pair<Opn, BitVector64>> pages;
+    overlayMgr_.omt().forEachInRange(
+        first, first + overlay_addr::kPagesPerProcess,
+        [&](Opn opn, const OmtEntry &entry) {
+            if (entry.obv.any() && table.find(opn - first) != nullptr)
+                pages.emplace_back(opn, entry.obv);
+        });
+    for (const auto &[parent_opn, obv] : pages) {
+        Opn child_opn =
+            overlay_addr::pageFromVirtual(child, parent_opn - first);
+        for (unsigned l = obv.findFirst(); l < kLinesPerPage;
+             l = obv.findNext(l)) {
+            LineData data;
+            overlayMgr_.readLineData(parent_opn, l, data);
+            overlayMgr_.writeLineData(child_opn, l, data);
+            ++forkOverlayLinesCopied_;
+            copy_line((parent_opn << kPageShift) | (Addr(l) << kLineShift),
+                      (child_opn << kPageShift) | (Addr(l) << kLineShift));
+        }
+    }
+}
+
 Asid
 System::fork(Asid parent, ForkMode mode, Tick when, Tick *done)
 {
@@ -640,8 +676,7 @@ System::fork(Asid parent, ForkMode mode, Tick when, Tick *done)
     Tick t = when + config_.pageFaultTrapCycles; // syscall + bookkeeping
 
     // Charge the page-table copy (8 B PTEs, 8 per line) through DRAM.
-    Process &parent_proc = vmm_.process(parent);
-    std::uint64_t pages = parent_proc.pageTable.size();
+    std::uint64_t pages = vmm_.process(parent).pageTable.size();
     forkPagesShared_ += pages;
     std::uint64_t pte_lines = (pages * 8 + kLineSize - 1) / kLineSize;
     for (std::uint64_t i = 0; i < pte_lines; ++i) {
@@ -652,34 +687,11 @@ System::fork(Asid parent, ForkMode mode, Tick when, Tick *done)
     }
 
     // §4.1: overlays are not shared across virtual pages, so fork must
-    // copy the parent's overlay lines into the child's overlays. The
-    // copy walks pages in ascending-VPN order: the order is part of the
-    // deterministic timing contract (it decides the cache/DRAM access
-    // sequence). PageTable iteration is ascending by construction, and
-    // nothing in the loop mutates the parent's table.
-    if (config_.overlaysEnabled) {
-        for (auto &&[vpn, pte] : parent_proc.pageTable) {
-            (void)pte;
-            Opn parent_opn = overlay_addr::pageFromVirtual(parent, vpn);
-            BitVector64 obv = overlayMgr_.obitvector(parent_opn);
-            if (obv.none())
-                continue;
-            Opn child_opn = overlay_addr::pageFromVirtual(child, vpn);
-            for (unsigned l = obv.findFirst(); l < kLinesPerPage;
-                 l = obv.findNext(l)) {
-                LineData data;
-                overlayMgr_.readLineData(parent_opn, l, data);
-                overlayMgr_.writeLineData(child_opn, l, data);
-                ++forkOverlayLinesCopied_;
-                Addr src = (parent_opn << kPageShift) |
-                           (Addr(l) << kLineShift);
-                t = caches_.access(src, false, t);
-                Addr dst = (child_opn << kPageShift) |
-                           (Addr(l) << kLineShift);
-                caches_.access(dst, true, t);
-            }
-        }
-    }
+    // copy the parent's overlay lines into the child's overlays.
+    copyOverlays(parent, child, [&](Addr src, Addr dst) {
+        t = caches_.access(src, false, t);
+        caches_.access(dst, true, t);
+    });
 
     // The parent's cached translations are stale (cow now set).
     t += config_.tlbShootdownCycles();
@@ -698,34 +710,64 @@ System::forkFunctional(Asid parent, ForkMode mode)
 {
     OVL_PROF_SCOPE(FunctionalFf);
     Asid child = vmm_.fork(parent, mode);
-    Process &parent_proc = vmm_.process(parent);
-    forkPagesShared_ += parent_proc.pageTable.size();
+    forkPagesShared_ += vmm_.process(parent).pageTable.size();
 
     // §4.1 overlay copy, functional half only: the child's overlays get
     // the parent's lines, but no cache or DRAM activity is charged.
-    if (config_.overlaysEnabled) {
-        for (auto &&[vpn, pte] : parent_proc.pageTable) {
-            (void)pte;
-            Opn parent_opn = overlay_addr::pageFromVirtual(parent, vpn);
-            BitVector64 obv = overlayMgr_.obitvector(parent_opn);
-            if (obv.none())
-                continue;
-            Opn child_opn = overlay_addr::pageFromVirtual(child, vpn);
-            for (unsigned l = obv.findFirst(); l < kLinesPerPage;
-                 l = obv.findNext(l)) {
-                LineData data;
-                overlayMgr_.readLineData(parent_opn, l, data);
-                overlayMgr_.writeLineData(child_opn, l, data);
-                ++forkOverlayLinesCopied_;
-            }
-        }
-    }
+    copyOverlays(parent, child, [](Addr, Addr) {});
 
     // The parent's cached translations really are stale (cow now set):
     // dropping them is architectural state, not timing.
     for (auto &tlb : tlbs_)
         tlb->invalidateAsid(parent);
     return child;
+}
+
+template <typename DropLine>
+void
+System::teardownPage(Asid asid, Addr vpn, const Pte &pte, bool shoot_down,
+                     DropLine &&drop_line)
+{
+    Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
+    if (const OmtEntry *entry = overlayMgr_.omt().find(opn)) {
+        // Discard the overlay first so writebacks of its cached lines
+        // are squashed, then drop those lines from the caches.
+        BitVector64 obv = entry->obv;
+        overlayMgr_.discardOverlay(opn);
+        for (unsigned l = obv.findFirst(); l < kLinesPerPage;
+             l = obv.findNext(l)) {
+            drop_line((opn << kPageShift) | (Addr(l) << kLineShift));
+        }
+    }
+    if (shoot_down) {
+        for (auto &tlb : tlbs_)
+            tlb->invalidate(asid, vpn);
+    }
+    // If the release that follows frees the frame, its cached lines must
+    // not alias the frame's next user.
+    if (pte.ppn != PhysicalMemory::kZeroFrame &&
+        physMem_.refCount(pte.ppn) == 1) {
+        for (unsigned l = 0; l < kLinesPerPage; ++l)
+            drop_line((pte.ppn << kPageShift) | (Addr(l) << kLineShift));
+    }
+}
+
+template <typename DropLine>
+void
+System::teardownProcess(Asid asid, DropLine &&drop_line)
+{
+    // The closing ASID-wide invalidate replaces per-page shootdowns,
+    // which only run while a trace records them, so traces keep their
+    // per-page tlb_shootdown instants.
+    bool trace_shootdowns = trace::active();
+    vmm_.unmapAll(asid, [&](Addr vpn, const Pte &pte) {
+        teardownPage(asid, vpn, pte, trace_shootdowns, drop_line);
+    });
+    for (auto &tlb : tlbs_)
+        tlb->invalidateAsid(asid);
+    Opn first = overlay_addr::pageFromVirtual(asid, 0);
+    overlayMgr_.omt().dropEmptyChunks(first,
+                                      first + overlay_addr::kPagesPerProcess);
 }
 
 void
@@ -736,31 +778,12 @@ System::unmap(Asid asid, Addr vaddr, std::uint64_t len, Tick when)
                "unmap requires a page-aligned range");
     for (Addr va = vaddr; va < vaddr + len; va += kPageSize) {
         Addr vpn = pageNumber(va);
-        if (vmm_.resolve(asid, vpn) == nullptr)
+        const Pte *pte = vmm_.resolve(asid, vpn);
+        if (pte == nullptr)
             continue;
-        Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
-        BitVector64 obv = overlayMgr_.obitvector(opn);
-        // Discard the overlay first so writebacks of its cached lines
-        // are squashed, then drop those lines from the caches.
-        overlayMgr_.discardOverlay(opn);
-        for (unsigned l = obv.findFirst(); l < kLinesPerPage;
-             l = obv.findNext(l)) {
-            caches_.invalidateLine(
-                (opn << kPageShift) | (Addr(l) << kLineShift), when);
-        }
-        for (auto &tlb : tlbs_)
-            tlb->invalidate(asid, vpn);
-        // If this unmap frees the frame, its cached lines must not alias
-        // the frame's next user.
-        Pte *pte = vmm_.resolve(asid, vpn);
-        if (pte->ppn != PhysicalMemory::kZeroFrame &&
-            physMem_.refCount(pte->ppn) == 1) {
-            for (unsigned l = 0; l < kLinesPerPage; ++l) {
-                caches_.invalidateLine(
-                    (pte->ppn << kPageShift) | (Addr(l) << kLineShift),
-                    when);
-            }
-        }
+        teardownPage(asid, vpn, *pte, true, [&](Addr line) {
+            caches_.invalidateLine(line, when);
+        });
         vmm_.unmap(asid, va, kPageSize);
     }
 }
@@ -769,57 +792,17 @@ void
 System::destroyProcess(Asid asid, Tick when)
 {
     OVL_PROF_SCOPE(Teardown);
-    // Collect first: unmap() mutates the page table while iterating.
-    // Teardown order is timing-visible (cache invalidations, frame
-    // recycling); PageTable iteration is already ascending-VPN, so the
-    // collected order needs no separate sort.
-    std::vector<Addr> vpns;
-    vpns.reserve(vmm_.process(asid).pageTable.size());
-    for (auto &&[vpn, pte] : vmm_.process(asid).pageTable) {
-        (void)pte;
-        vpns.push_back(vpn);
-    }
-    for (Addr vpn : vpns)
-        unmap(asid, vpn << kPageShift, kPageSize, when);
-    for (auto &tlb : tlbs_)
-        tlb->invalidateAsid(asid);
+    teardownProcess(asid,
+                    [&](Addr line) { caches_.invalidateLine(line, when); });
 }
 
 void
 System::destroyProcessFunctional(Asid asid)
 {
     OVL_PROF_SCOPE(FunctionalFf);
-    // Mirrors destroyProcess()/unmap() step for step, with cache drops
-    // instead of invalidate+writeback: functional data lives in the
-    // backing stores, so nothing is lost, and DRAM state stays put.
-    std::vector<Addr> vpns;
-    vpns.reserve(vmm_.process(asid).pageTable.size());
-    for (auto &&[vpn, pte] : vmm_.process(asid).pageTable) {
-        (void)pte;
-        vpns.push_back(vpn);
-    }
-    for (Addr vpn : vpns) {
-        Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
-        BitVector64 obv = overlayMgr_.obitvector(opn);
-        overlayMgr_.discardOverlay(opn);
-        for (unsigned l = obv.findFirst(); l < kLinesPerPage;
-             l = obv.findNext(l)) {
-            caches_.dropLine((opn << kPageShift) | (Addr(l) << kLineShift));
-        }
-        for (auto &tlb : tlbs_)
-            tlb->invalidate(asid, vpn);
-        Pte *pte = vmm_.resolve(asid, vpn);
-        if (pte->ppn != PhysicalMemory::kZeroFrame &&
-            physMem_.refCount(pte->ppn) == 1) {
-            for (unsigned l = 0; l < kLinesPerPage; ++l) {
-                caches_.dropLine((pte->ppn << kPageShift) |
-                                 (Addr(l) << kLineShift));
-            }
-        }
-        vmm_.unmap(asid, vpn << kPageShift, kPageSize);
-    }
-    for (auto &tlb : tlbs_)
-        tlb->invalidateAsid(asid);
+    // Cache drops instead of invalidate+writeback: functional data lives
+    // in the backing stores, so nothing is lost, and DRAM state stays put.
+    teardownProcess(asid, [&](Addr line) { caches_.dropLine(line); });
 }
 
 // --------------------------- promotion ---------------------------------

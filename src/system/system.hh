@@ -129,9 +129,10 @@ class System : public SimObject
     void unmap(Asid asid, Addr vaddr, std::uint64_t len, Tick when);
 
     /**
-     * Tear down a whole process: unmap everything it maps. The ASID is
-     * retired (per §4.1's 1-1 overlay mapping, ASIDs are not recycled
-     * while the system lives).
+     * Tear down a whole process: unmap everything it maps, in one
+     * ascending-VPN pass, then drop its translations with one ASID-wide
+     * invalidate. The ASID is retired (per §4.1's 1-1 overlay mapping,
+     * ASIDs are not recycled while the system lives).
      */
     void destroyProcess(Asid asid, Tick when);
 
@@ -383,6 +384,31 @@ class System : public SimObject
 
     /** Broadcast an ORE message to every TLB + the OMT (§4.3.3). */
     Tick broadcastOre(Asid asid, Addr vpn, Opn opn, unsigned line, Tick t);
+
+    /**
+     * The fork overlay copy (§4.1), shared by fork() and
+     * forkFunctional(): every overlay line of @p parent is copied into
+     * @p child, pages in ascending-VPN order. @p copy_line(src, dst)
+     * charges the copy of one line (a no-op in functional mode).
+     */
+    template <typename CopyLine>
+    void copyOverlays(Asid parent, Asid child, CopyLine &&copy_line);
+
+    /**
+     * One page of a teardown, shared by unmap() and both process
+     * teardowns, run just before the Vmm releases the page: discard the
+     * page's overlay and drop its lines, shoot down the page's
+     * translations when @p shoot_down, and drop the frame's lines if the
+     * release will free the frame. @p drop_line(addr) is the cache
+     * action: a timed invalidate or a functional drop.
+     */
+    template <typename DropLine>
+    void teardownPage(Asid asid, Addr vpn, const Pte &pte, bool shoot_down,
+                      DropLine &&drop_line);
+
+    /** Tear down all of @p asid (see destroyProcess()). */
+    template <typename DropLine>
+    void teardownProcess(Asid asid, DropLine &&drop_line);
 
     SystemConfig config_;
     PhysicalMemory physMem_;

@@ -13,7 +13,8 @@
  * Workload footprints are contiguous regions, so nearly every lookup
  * hits the cached leaf and costs a shift, a compare and an array index —
  * no hashing, no allocation. Iteration visits entries in ascending-VPN
- * order, which the fork/teardown paths rely on for determinism.
+ * order, which the fork/teardown paths rely on for determinism; a
+ * teardown drops the whole table with clear() after one such pass.
  */
 
 #ifndef OVERLAYSIM_VM_PAGE_TABLE_HH
@@ -199,6 +200,16 @@ class PageTable
         --size_;
         if (leaf->count == 0)
             removeLeaf(chunk);
+    }
+
+    /** Remove every mapping at once (process teardown). */
+    void
+    clear()
+    {
+        dir_.clear();
+        size_ = 0;
+        cachedChunk_ = kNoChunk;
+        cachedLeaf_ = nullptr;
     }
 
     std::size_t size() const { return size_; }

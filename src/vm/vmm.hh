@@ -84,6 +84,25 @@ class Vmm : public SimObject
     void unmap(Asid asid, Addr vaddr, std::uint64_t len);
 
     /**
+     * Remove every mapping of @p asid in one ascending-VPN pass: for each
+     * page, @p before_release(vpn, pte) runs and then the frame is
+     * released; the page table is dropped whole at the end. The order is
+     * that of unmapping page by page; @p before_release must not change
+     * the page table.
+     */
+    template <typename Fn>
+    void
+    unmapAll(Asid asid, Fn &&before_release)
+    {
+        PageTable &table = process(asid).pageTable;
+        for (auto &&[vpn, pte] : table) {
+            before_release(vpn, pte);
+            physMem_.release(pte.ppn);
+        }
+        table.clear();
+    }
+
+    /**
      * fork(): duplicate @p parent's address space. Every writable page
      * becomes shared copy-on-write in both processes; with
      * ForkMode::OverlayOnWrite the OS additionally sets the
