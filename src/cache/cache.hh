@@ -18,6 +18,7 @@
 #include "cache/replacement.hh"
 #include "common/types.hh"
 #include "sim/sim_object.hh"
+#include "sim/timing_policy.hh"
 
 namespace ovl
 {
@@ -74,13 +75,18 @@ class SetAssocCache : public SimObject
     // access/fill/isPresent run on every simulated memory reference
     // (including once per level and per prefetch candidate); they are
     // defined inline at the bottom of this header so the hierarchy's
-    // miss cascade compiles into straight-line code.
+    // miss cascade compiles into straight-line code. Under the
+    // Functional policy (functional warming, DESIGN.md §10.2) access and
+    // fill move tags, dirtiness and replacement state exactly as under
+    // Timed but count nothing: a warmed cache dumps the same stats it
+    // would have dumped before the functional burst.
 
     /**
      * Demand access: looks up @p line_addr, allocates on miss, and marks
      * the line dirty when @p is_write. The returned eviction (if any)
      * must be handled by the caller (written back / installed below).
      */
+    template <typename Mode = Timed>
     CacheAccessResult access(Addr line_addr, bool is_write);
 
     /**
@@ -89,19 +95,9 @@ class SetAssocCache : public SimObject
      * DRRIP can deprioritize them. Returns a displaced victim, if any.
      * If the line is already present it is updated in place.
      */
+    template <typename Mode = Timed>
     std::optional<Eviction> fill(Addr line_addr, bool dirty,
                                  bool is_prefetch = false);
-
-    /**
-     * access()/fill() minus the statistics: functional warming (sampled
-     * simulation, DESIGN.md §10) moves tags, dirtiness and replacement
-     * state exactly like the demand path while staying invisible to
-     * every counter — a warmed cache dumps the same stats it would have
-     * dumped before the functional burst.
-     */
-    CacheAccessResult warmAccess(Addr line_addr, bool is_write);
-    std::optional<Eviction> warmFill(Addr line_addr, bool dirty,
-                                     bool is_prefetch = false);
 
     /** Tag probe without any state update. */
     bool isPresent(Addr line_addr) const;
@@ -128,6 +124,7 @@ class SetAssocCache : public SimObject
      * must have reported the line absent, with @p invalid_way its
      * invalidWay). Identical to what fill() does after its own scan.
      */
+    template <typename Mode>
     std::optional<Eviction> fillProbed(Addr line_addr, unsigned invalid_way,
                                        bool dirty, bool is_prefetch);
 
@@ -140,16 +137,6 @@ class SetAssocCache : public SimObject
      */
     std::optional<Eviction> invalidate(Addr line_addr);
 
-    /**
-     * Retag a resident line from @p old_addr to @p new_addr, preserving
-     * dirtiness. This is the hardware path of the overlaying write: "copy
-     * the cache line ... by simply updating the cache tag to correspond to
-     * the overlay page number" (§4.3.3). Returns false if not resident or
-     * if the destination conflicts with a resident line in another set
-     * position (caller then falls back to an explicit copy).
-     */
-    bool retag(Addr old_addr, Addr new_addr);
-
     /** Result of a fused moveLine(): whether the line was resident, and
      *  any victim displaced by the cross-set fallback fill. */
     struct MoveResult
@@ -159,11 +146,14 @@ class SetAssocCache : public SimObject
     };
 
     /**
-     * Fused retag-or-move: the overlaying write's tag update (§4.3.3)
-     * resolved in a single scan of the source set. Semantically identical
-     * to isPresent() + retag() with an invalidate() + fill() fallback —
-     * counter for counter, replacement state for replacement state — but
-     * without rescanning the tags at every step.
+     * Move a resident line from @p old_addr to @p new_addr, preserving
+     * dirtiness: the overlaying write's tag update (§4.3.3), resolved in
+     * a single scan of the source set. When both addresses index the same
+     * set and the destination is absent, the tag is updated in place
+     * ("simply updating the cache tag to correspond to the overlay page
+     * number"); a resident destination absorbs the source's dirtiness;
+     * a destination in another set is an explicit copy, invalidate +
+     * fill().
      */
     MoveResult moveLine(Addr old_addr, Addr new_addr);
 
@@ -205,13 +195,12 @@ class SetAssocCache : public SimObject
     std::size_t findIndex(Addr line_addr) const;
     /**
      * Insert into set @p set_idx, reusing way @p way if the caller already
-     * found an invalid one (ways_ = all valid, pick a victim). @p count
-     * false suppresses the writeback/prefetch-fill counters (functional
-     * warming).
+     * found an invalid one (ways_ = all valid, pick a victim).
      */
+    template <typename Mode>
     std::optional<Eviction> insertAt(unsigned set_idx, unsigned way,
                                      Addr line_addr, bool dirty,
-                                     bool is_prefetch, bool count = true);
+                                     bool is_prefetch);
 
     CacheParams params_;
     unsigned numSets_;
@@ -266,9 +255,10 @@ SetAssocCache::findIndex(Addr line_addr) const
     return kNotFound;
 }
 
+template <typename Mode>
 inline std::optional<Eviction>
 SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
-                        bool dirty, bool is_prefetch, bool count)
+                        bool dirty, bool is_prefetch)
 {
     std::size_t base = std::size_t(set_idx) * ways_;
     std::optional<Eviction> evicted;
@@ -277,8 +267,8 @@ SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
         // mutates the set's states in place.
         way = repl_.selectVictim(&replLru_[base], &replRrpv_[base], ways_);
         evicted = Eviction{tags_[base + way], state_[base + way].dirty};
-        if (state_[base + way].dirty && count)
-            ++writebacks_;
+        if (state_[base + way].dirty)
+            Mode::count(writebacks_);
     }
 
     tags_[base + way] = line_addr;
@@ -287,11 +277,12 @@ SetAssocCache::insertAt(unsigned set_idx, unsigned way, Addr line_addr,
     st.prefetched = is_prefetch;
     repl_.onInsert(replLru_[base + way], replRrpv_[base + way], set_idx,
                    is_prefetch);
-    if (is_prefetch && count)
-        ++prefetchFills_;
+    if (is_prefetch)
+        Mode::count(prefetchFills_);
     return evicted;
 }
 
+template <typename Mode>
 inline CacheAccessResult
 SetAssocCache::access(Addr line_addr, bool is_write)
 {
@@ -303,10 +294,10 @@ SetAssocCache::access(Addr line_addr, bool is_write)
     unsigned invalid_way = ways_;
     for (unsigned w = 0; w < ways_; ++w) {
         if (tags[w] == line_addr) {
-            ++hits_;
+            Mode::count(hits_);
             LineState &st = state_[base + w];
             if (st.prefetched) {
-                ++prefetchHits_;
+                Mode::count(prefetchHits_);
                 st.prefetched = false;
             }
             repl_.onHit(replLru_[base + w], replRrpv_[base + w]);
@@ -317,13 +308,14 @@ SetAssocCache::access(Addr line_addr, bool is_write)
         if (tags[w] == kInvalidAddr && invalid_way == ways_)
             invalid_way = w;
     }
-    ++misses_;
+    Mode::count(misses_);
     repl_.onMiss(set_idx);
-    auto eviction = insertAt(set_idx, invalid_way, line_addr, is_write,
-                             false);
+    auto eviction = insertAt<Mode>(set_idx, invalid_way, line_addr,
+                                   is_write, false);
     return CacheAccessResult{false, eviction};
 }
 
+template <typename Mode>
 inline std::optional<Eviction>
 SetAssocCache::fill(Addr line_addr, bool dirty, bool is_prefetch)
 {
@@ -341,51 +333,8 @@ SetAssocCache::fill(Addr line_addr, bool dirty, bool is_prefetch)
         if (tags[w] == kInvalidAddr && invalid_way == ways_)
             invalid_way = w;
     }
-    return insertAt(set_idx, invalid_way, line_addr, dirty, is_prefetch);
-}
-
-inline CacheAccessResult
-SetAssocCache::warmAccess(Addr line_addr, bool is_write)
-{
-    unsigned set_idx = setIndex(line_addr);
-    std::size_t base = std::size_t(set_idx) * ways_;
-    const Addr *tags = &tags_[base];
-    unsigned invalid_way = ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags[w] == line_addr) {
-            LineState &st = state_[base + w];
-            st.prefetched = false;
-            repl_.onHit(replLru_[base + w], replRrpv_[base + w]);
-            if (is_write)
-                st.dirty = true;
-            return CacheAccessResult{true, std::nullopt};
-        }
-        if (tags[w] == kInvalidAddr && invalid_way == ways_)
-            invalid_way = w;
-    }
-    repl_.onMiss(set_idx);
-    auto eviction = insertAt(set_idx, invalid_way, line_addr, is_write,
-                             false, /*count=*/false);
-    return CacheAccessResult{false, eviction};
-}
-
-inline std::optional<Eviction>
-SetAssocCache::warmFill(Addr line_addr, bool dirty, bool is_prefetch)
-{
-    unsigned set_idx = setIndex(line_addr);
-    std::size_t base = std::size_t(set_idx) * ways_;
-    const Addr *tags = &tags_[base];
-    unsigned invalid_way = ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (tags[w] == line_addr) {
-            state_[base + w].dirty = state_[base + w].dirty || dirty;
-            return std::nullopt;
-        }
-        if (tags[w] == kInvalidAddr && invalid_way == ways_)
-            invalid_way = w;
-    }
-    return insertAt(set_idx, invalid_way, line_addr, dirty, is_prefetch,
-                    /*count=*/false);
+    return insertAt<Mode>(set_idx, invalid_way, line_addr, dirty,
+                          is_prefetch);
 }
 
 inline SetAssocCache::MoveResult
@@ -456,12 +405,13 @@ SetAssocCache::probe(Addr line_addr) const
     return res;
 }
 
+template <typename Mode>
 inline std::optional<Eviction>
 SetAssocCache::fillProbed(Addr line_addr, unsigned invalid_way, bool dirty,
                           bool is_prefetch)
 {
-    return insertAt(setIndex(line_addr), invalid_way, line_addr, dirty,
-                    is_prefetch);
+    return insertAt<Mode>(setIndex(line_addr), invalid_way, line_addr,
+                          dirty, is_prefetch);
 }
 
 inline bool

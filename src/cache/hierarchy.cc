@@ -30,31 +30,7 @@ CacheHierarchy::CacheHierarchy(std::string name, HierarchyParams params,
 void
 CacheHierarchy::prefetchLine(Addr line_addr, Tick when)
 {
-    tryPrefetchFill(line_addr, when);
-}
-
-void
-CacheHierarchy::invalidateLine(Addr line_addr, Tick when)
-{
-    bool dirty = false;
-    if (auto ev = l1_.invalidate(line_addr))
-        dirty = dirty || ev->dirty;
-    if (auto ev = l2_.invalidate(line_addr))
-        dirty = dirty || ev->dirty;
-    if (auto ev = l3_.invalidate(line_addr))
-        dirty = dirty || ev->dirty;
-    if (dirty) {
-        ++memWritebacks_;
-        backend_.writebackLine(line_addr, when);
-    }
-}
-
-void
-CacheHierarchy::dropLine(Addr line_addr)
-{
-    l1_.invalidate(line_addr);
-    l2_.invalidate(line_addr);
-    l3_.invalidate(line_addr);
+    tryPrefetchFill<Timed>(line_addr, when);
 }
 
 bool
@@ -62,13 +38,13 @@ CacheHierarchy::retagLine(Addr old_addr, Addr new_addr, Tick when)
 {
     auto mv1 = l1_.moveLine(old_addr, new_addr);
     if (mv1.eviction)
-        handleL1Victim(*mv1.eviction, when);
+        handleL1Victim<Timed>(*mv1.eviction, when);
     auto mv2 = l2_.moveLine(old_addr, new_addr);
     if (mv2.eviction)
-        handleL2Victim(*mv2.eviction, when);
+        handleL2Victim<Timed>(*mv2.eviction, when);
     auto mv3 = l3_.moveLine(old_addr, new_addr);
     if (mv3.eviction)
-        handleL3Victim(*mv3.eviction, when);
+        handleL3Victim<Timed>(*mv3.eviction, when);
     return mv1.found || mv2.found || mv3.found;
 }
 
@@ -76,8 +52,7 @@ void
 CacheHierarchy::flushAll(Tick when)
 {
     auto sink = [&](Addr addr) {
-        ++memWritebacks_;
-        backend_.writebackLine(addr, when);
+        handleL3Victim<Timed>(Eviction{addr, true}, when);
     };
     l1_.writebackAll(sink);
     l2_.writebackAll(sink);

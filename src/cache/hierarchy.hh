@@ -80,36 +80,26 @@ class CacheHierarchy : public SimObject
      * reports which level serviced it. Defined inline (below) together
      * with the victim/prefetch helpers so the whole miss cascade
      * compiles into one frame.
+     *
+     * Under the Functional policy this is functional warming (sampled
+     * simulation, DESIGN.md §10.2): the same tag and replacement-state
+     * movement, dirty-victim cascade and prefetcher training, with no
+     * latency (it returns @p when), no statistic, no prefetch bandwidth
+     * gate and no memory traffic. A dirty line leaving the L3 is dropped
+     * (its data lives in the functional stores), so the next detailed
+     * window starts from warm state without DRAM timing having moved.
      */
+    template <typename Mode = Timed>
     Tick access(Addr line_addr, bool is_write, Tick when,
                 HitLevel *hit_level = nullptr);
 
     /**
-     * Invalidate a line everywhere, writing it back if dirty. Used when
-     * overlays are promoted/discarded (§4.3.4).
+     * Invalidate a line everywhere, writing it back if dirty (Timed) or
+     * dropping it (Functional). Used when overlays are promoted or
+     * discarded (§4.3.4) and by teardown.
      */
+    template <typename Mode = Timed>
     void invalidateLine(Addr line_addr, Tick when);
-
-    /**
-     * Drop a line everywhere without writing it back — the functional
-     * fast-forward's teardown path (sampled simulation): the line's data
-     * lives in the functional stores, and charging a writeback would
-     * mutate DRAM timing state, which functional mode must not do.
-     */
-    void dropLine(Addr line_addr);
-
-    /**
-     * Functional warming (sampled simulation, DESIGN.md §10): replay the
-     * tag and replacement-state movement of access() with zero tick
-     * movement — no latencies, no statistics, no DRAM traffic, no
-     * prefetcher training. Dirty victims cascade as tag fills exactly as
-     * in the detailed path, but the final writeback is dropped (the data
-     * lives in the functional stores). This keeps the hierarchy's
-     * contents tracking the program during a functional fast-forward, so
-     * the next detailed window starts from warm state instead of
-     * measuring an artificial cold-start transient.
-     */
-    void warmLine(Addr line_addr, bool is_write);
 
     /**
      * Retag a line from the regular physical space to the overlay space
@@ -150,11 +140,21 @@ class CacheHierarchy : public SimObject
     void deserialize(snapshot::Reader &r);
 
   private:
+    template <typename Mode>
     void handleL1Victim(const Eviction &ev, Tick when);
+    template <typename Mode>
     void handleL2Victim(const Eviction &ev, Tick when);
+    /** A line leaving the hierarchy: written back if dirty (Timed). */
+    template <typename Mode>
     void handleL3Victim(const Eviction &ev, Tick when);
+    template <typename Mode>
     void issuePrefetches(Addr trigger_line, Tick when);
-    /** Rate-limited best-effort prefetch fill; false if dropped. */
+    /**
+     * Best-effort prefetch fill; false if dropped. Timed fills are
+     * rate-limited by the bandwidth gate, which is timing state, so
+     * functional warming assumes every prefetch is serviced.
+     */
+    template <typename Mode>
     bool tryPrefetchFill(Addr line_addr, Tick when);
 
     HierarchyParams params_;
@@ -178,66 +178,39 @@ class CacheHierarchy : public SimObject
 
 // ------------------------ inline hot path ------------------------------
 
+template <typename Mode>
 inline void
 CacheHierarchy::handleL3Victim(const Eviction &ev, Tick when)
 {
-    if (ev.dirty) {
-        ++memWritebacks_;
-        backend_.writebackLine(ev.lineAddr, when);
+    if constexpr (Mode::kTimed) {
+        if (ev.dirty) {
+            ++memWritebacks_;
+            backend_.writebackLine(ev.lineAddr, when);
+        }
     }
 }
 
+template <typename Mode>
 inline void
 CacheHierarchy::handleL2Victim(const Eviction &ev, Tick when)
 {
     if (!ev.dirty)
         return; // non-inclusive: clean victims are dropped silently
-    if (auto l3_victim = l3_.fill(ev.lineAddr, true))
-        handleL3Victim(*l3_victim, when);
+    if (auto l3_victim = l3_.fill<Mode>(ev.lineAddr, true))
+        handleL3Victim<Mode>(*l3_victim, when);
 }
 
+template <typename Mode>
 inline void
 CacheHierarchy::handleL1Victim(const Eviction &ev, Tick when)
 {
     if (!ev.dirty)
         return;
-    if (auto l2_victim = l2_.fill(ev.lineAddr, true))
-        handleL2Victim(*l2_victim, when);
+    if (auto l2_victim = l2_.fill<Mode>(ev.lineAddr, true))
+        handleL2Victim<Mode>(*l2_victim, when);
 }
 
-inline void
-CacheHierarchy::warmLine(Addr line_addr, bool is_write)
-{
-    ovl_assert((line_addr & kLineMask) == 0, "unaligned line address");
-    CacheAccessResult l1_res = l1_.warmAccess(line_addr, is_write);
-    if (l1_res.eviction && l1_res.eviction->dirty) {
-        if (auto l2_victim =
-                l2_.warmFill(l1_res.eviction->lineAddr, true)) {
-            if (l2_victim->dirty)
-                l3_.warmFill(l2_victim->lineAddr, true);
-        }
-    }
-    if (l1_res.hit)
-        return;
-    CacheAccessResult l2_res = l2_.warmAccess(line_addr, false);
-    if (l2_res.eviction && l2_res.eviction->dirty)
-        l3_.warmFill(l2_res.eviction->lineAddr, true);
-    if (l2_res.hit)
-        return;
-    // Train the prefetcher on L2 demand misses like the detailed path,
-    // with tag-only fills: the bandwidth gate (prefetchBusyUntil_) is
-    // timing state, so warming assumes prefetches are serviced.
-    prefetchScratch_.clear();
-    prefetcher_.notifyMiss(line_addr, prefetchScratch_);
-    for (Addr pf_addr : prefetchScratch_) {
-        if (!l1_.isPresent(pf_addr) && !l2_.isPresent(pf_addr) &&
-            !l3_.isPresent(pf_addr)) {
-            l3_.warmFill(pf_addr, false, true);
-        }
-    }
-    l3_.warmAccess(line_addr, false);
-}
-
+template <typename Mode>
 inline bool
 CacheHierarchy::tryPrefetchFill(Addr line_addr, Tick when)
 {
@@ -248,101 +221,120 @@ CacheHierarchy::tryPrefetchFill(Addr line_addr, Tick when)
     SetAssocCache::ProbeResult l3_probe = l3_.probe(line_addr);
     if (l3_probe.present)
         return true;
-    // Best-effort bandwidth: prefetches are serviced behind demand
-    // traffic at a fixed streaming rate and dropped when the engine
-    // falls too far behind (demand-first FR-FCFS scheduling).
-    Tick start = std::max(when, prefetchBusyUntil_);
-    if (start - when > prefetcher_.params().maxLagCycles) {
-        ++prefetchDrops_;
-        return false;
+    if constexpr (Mode::kTimed) {
+        // Best-effort bandwidth: prefetches are serviced behind demand
+        // traffic at a fixed streaming rate and dropped when the engine
+        // falls too far behind (demand-first FR-FCFS scheduling).
+        Tick start = std::max(when, prefetchBusyUntil_);
+        if (start - when > prefetcher_.params().maxLagCycles) {
+            ++prefetchDrops_;
+            return false;
+        }
+        prefetchBusyUntil_ = start + prefetcher_.params().serviceCycles;
+        ++prefetchReads_;
     }
-    prefetchBusyUntil_ = start + prefetcher_.params().serviceCycles;
-    ++prefetchReads_;
-    if (auto victim = l3_.fillProbed(line_addr, l3_probe.invalidWay, false,
-                                     true)) {
-        handleL3Victim(*victim, when);
+    if (auto victim = l3_.fillProbed<Mode>(line_addr, l3_probe.invalidWay,
+                                           false, true)) {
+        handleL3Victim<Mode>(*victim, when);
     }
     return true;
 }
 
+template <typename Mode>
 inline void
 CacheHierarchy::issuePrefetches(Addr trigger_line, Tick when)
 {
     prefetchScratch_.clear();
     prefetcher_.notifyMiss(trigger_line, prefetchScratch_);
     for (Addr pf_addr : prefetchScratch_)
-        tryPrefetchFill(pf_addr, when);
+        tryPrefetchFill<Mode>(pf_addr, when);
 }
 
+template <typename Mode>
 inline Tick
 CacheHierarchy::access(Addr line_addr, bool is_write, Tick when,
                        HitLevel *hit_level)
 {
     ovl_assert((line_addr & kLineMask) == 0, "unaligned line address");
-    ++accesses_;
-    OVL_PROF_SCOPE(CacheLookup);
+    Mode::count(accesses_);
+    OVL_PROF_SCOPE_IF(Mode::kTimed, CacheLookup);
 
     Tick t = when;
-    CacheAccessResult l1_res = l1_.access(line_addr, is_write);
+    CacheAccessResult l1_res = l1_.access<Mode>(line_addr, is_write);
     if (l1_res.eviction)
-        handleL1Victim(*l1_res.eviction, when);
+        handleL1Victim<Mode>(*l1_res.eviction, when);
     if (l1_res.hit) {
-        ++hitsL1_;
+        Mode::count(hitsL1_);
         if (hit_level)
             *hit_level = HitLevel::L1;
-        return t + params_.l1.hitLatency();
+        return Mode::charge(t, params_.l1.hitLatency());
     }
-    t += params_.l1.missDetectLatency();
+    t = Mode::charge(t, params_.l1.missDetectLatency());
     // Like the trace points, the miss-cascade scope opens only after an
     // L1 miss, keeping the hit fast path identical when profiling.
-    OVL_PROF_SCOPE(MissCascade);
+    OVL_PROF_SCOPE_IF(Mode::kTimed, MissCascade);
 
-    CacheAccessResult l2_res = l2_.access(line_addr, false);
+    CacheAccessResult l2_res = l2_.access<Mode>(line_addr, false);
     if (l2_res.eviction)
-        handleL2Victim(*l2_res.eviction, when);
+        handleL2Victim<Mode>(*l2_res.eviction, when);
     if (l2_res.hit) {
-        ++hitsL2_;
+        Mode::count(hitsL2_);
         if (hit_level)
             *hit_level = HitLevel::L2;
-        Tick done = t + params_.l2.hitLatency();
+        Tick done = Mode::charge(t, params_.l2.hitLatency());
         // Trace points sit on the L1-miss cascade only, so the L1-hit
         // fast path stays branch-for-branch identical when disabled.
-        if (trace::active()) {
+        if (Mode::tracing()) {
             trace::complete("cache", "l2_hit", when, done - when,
                             {{"line", line_addr}});
         }
         return done;
     }
-    t += params_.l2.missDetectLatency();
+    t = Mode::charge(t, params_.l2.missDetectLatency());
 
     // Train the prefetcher on L2 demand misses (Table 2).
-    issuePrefetches(line_addr, t);
+    issuePrefetches<Mode>(line_addr, t);
 
-    CacheAccessResult l3_res = l3_.access(line_addr, false);
+    CacheAccessResult l3_res = l3_.access<Mode>(line_addr, false);
     if (l3_res.eviction)
-        handleL3Victim(*l3_res.eviction, when);
+        handleL3Victim<Mode>(*l3_res.eviction, when);
     if (l3_res.hit) {
-        ++hitsL3_;
+        Mode::count(hitsL3_);
         if (hit_level)
             *hit_level = HitLevel::L3;
-        Tick done = t + params_.l3.hitLatency();
-        if (trace::active()) {
+        Tick done = Mode::charge(t, params_.l3.hitLatency());
+        if (Mode::tracing()) {
             trace::complete("cache", "l3_hit", when, done - when,
                             {{"line", line_addr}});
         }
         return done;
     }
-    t += params_.l3.missDetectLatency();
-
-    ++memReads_;
     if (hit_level)
         *hit_level = HitLevel::Memory;
+    if constexpr (!Mode::kTimed)
+        return when;
+    t += params_.l3.missDetectLatency();
+    ++memReads_;
     Tick done = backend_.readLine(line_addr, t);
     if (trace::active()) {
         trace::complete("cache", "mem_read", when, done - when,
                         {{"line", line_addr}});
     }
     return done;
+}
+
+template <typename Mode>
+inline void
+CacheHierarchy::invalidateLine(Addr line_addr, Tick when)
+{
+    bool dirty = false;
+    if (auto ev = l1_.invalidate(line_addr))
+        dirty = dirty || ev->dirty;
+    if (auto ev = l2_.invalidate(line_addr))
+        dirty = dirty || ev->dirty;
+    if (auto ev = l3_.invalidate(line_addr))
+        dirty = dirty || ev->dirty;
+    handleL3Victim<Mode>(Eviction{line_addr, dirty}, when);
 }
 
 } // namespace ovl

@@ -166,13 +166,15 @@ active()
 class ScopedTimer
 {
   public:
-    explicit ScopedTimer(Zone zone)
+    /** @p on false (a compile-time constant at every call site) makes
+     *  the scope inert: the functional side of a timing-policy step. */
+    explicit ScopedTimer(Zone zone, bool on = true)
     {
 #if defined(__GNUC__) || defined(__clang__)
-        if (__builtin_expect(active(), 0))
+        if (__builtin_expect(on && active(), 0))
             enter(zone);
 #else
-        if (active())
+        if (on && active())
             enter(zone);
 #endif
     }
@@ -265,19 +267,23 @@ void writeCollapsed(std::ostream &os, const Report &report,
 } // namespace ovl::prof
 
 /**
- * Call-site macro: a scoped timer when the build defines OVL_PROFILE,
- * nothing at all otherwise. `zone` is a bare Zone enumerator name.
+ * Call-site macros: a scoped timer when the build defines OVL_PROFILE,
+ * nothing at all otherwise. `zone` is a bare Zone enumerator name;
+ * OVL_PROF_SCOPE_IF opens it only when the constant @p on holds (timed
+ * steps pass `Mode::kTimed`, see sim/timing_policy.hh).
  *
  *     OVL_PROF_SCOPE(CacheLookup);
+ *     OVL_PROF_SCOPE_IF(Mode::kTimed, TlbWalk);
  */
 #ifdef OVL_PROFILE
 #define OVL_PROF_CONCAT2(a, b) a##b
 #define OVL_PROF_CONCAT(a, b) OVL_PROF_CONCAT2(a, b)
-#define OVL_PROF_SCOPE(zone)                                                 \
+#define OVL_PROF_SCOPE_IF(on, zone)                                          \
     ::ovl::prof::ScopedTimer OVL_PROF_CONCAT(ovl_prof_scope_, __LINE__)(     \
-        ::ovl::prof::Zone::zone)
+        ::ovl::prof::Zone::zone, on)
 #else
-#define OVL_PROF_SCOPE(zone) ((void)0)
+#define OVL_PROF_SCOPE_IF(on, zone) ((void)0)
 #endif
+#define OVL_PROF_SCOPE(zone) OVL_PROF_SCOPE_IF(true, zone)
 
 #endif // OVERLAYSIM_SIM_PROFILE_HH

@@ -172,19 +172,22 @@ class System : public SimObject
     Tick read(Asid asid, Addr vaddr, void *out, std::size_t len, Tick when);
 
     // ----- functional-only access (no timing) ---------------------------
+    //
+    // The same steps as access()/fork()/destroyProcess(), instantiated
+    // over the Functional timing policy (sim/timing_policy.hh): sampled
+    // simulation's fast-forward (DESIGN.md §10.2).
 
     /**
-     * Functional fast-forward of one access (sampled simulation, see
-     * DESIGN.md §10): performs exactly the architectural transitions of
-     * access() — TLB warming/fills, overlaying writes (OBitVector + OMT
-     * + overlay data), CoW breaks — plus SMARTS-style functional warming
-     * of the cache tag/replacement state (CacheHierarchy::warmLine), so
-     * detailed windows resumed after a functional gap start from warm
-     * microarchitectural state instead of a cold-start transient. No
-     * ticks are charged anywhere: DRAM bank state, prefetcher training,
-     * ORE serialization and all statistics except the architectural
-     * event counters stay untouched, and a run with zero functional
-     * accesses is byte-identical to a pure-detailed run.
+     * Functional fast-forward of one access: exactly the architectural
+     * transitions of access() — TLB fills, overlaying writes (OBitVector
+     * + OMT + overlay data), CoW breaks — plus SMARTS-style warming of
+     * the cache tag/replacement state and prefetcher, so detailed
+     * windows resumed after a functional gap start from warm state. No
+     * tick is charged anywhere: DRAM bank state, ORE serialization and
+     * every timing statistic stay untouched, and a run with zero
+     * functional accesses is byte-identical to a pure-detailed run. An
+     * overlaying write drops the line's physical tag instead of
+     * retagging it; the overlay line is then installed by the access.
      *
      * Overlay promotion is an OS timing policy and must be disabled
      * (config.promoteThresholdLines == kLinesPerPage) when functional
@@ -361,15 +364,34 @@ class System : public SimObject
         return (ppn << kPageShift) | (pageOffset(vaddr) & ~kLineMask);
     }
 
-    /** TLB access + walk/fill; returns the entry and advances @p t. */
+    // The access engine: each step is written once over the Timed /
+    // Functional policy (sim/timing_policy.hh) and instantiated for
+    // both; the public timed and functional entry points call these.
+
+    /** The three memory operations (§4.3) behind access(). */
+    template <typename Mode>
+    Tick accessAs(Asid asid, Addr vaddr, bool is_write, Tick when,
+                  AccessOutcome *outcome, unsigned core);
+
+    /**
+     * TLB access + walk/fill; returns the entry and advances @p t. The
+     * timed walk also looks up the OBitVector through the OMT cache.
+     */
+    template <typename Mode = Timed>
     TlbEntryData *translate(Asid asid, Addr vpn, Tick &t,
                             AccessOutcome *outcome, unsigned core = 0);
 
     /** Baseline CoW write-fault service (Figure 3a). */
+    template <typename Mode>
     Tick serviceCowFault(Asid asid, Addr vaddr, TlbEntryData *&entry,
                          Tick t, AccessOutcome *outcome, unsigned core);
 
-    /** Overlaying write (Figure 3b, §4.3.3). Advances time. */
+    /**
+     * Overlaying write (Figure 3b, §4.3.3). Advances time. The timed
+     * write retags the cached line into the overlay; the functional one
+     * drops the physical tag.
+     */
+    template <typename Mode>
     Tick serviceOverlayingWrite(Asid asid, Addr vaddr, TlbEntryData *entry,
                                 Tick t, AccessOutcome *outcome);
 
@@ -382,33 +404,40 @@ class System : public SimObject
      */
     void overlayLineFunctional(Opn opn, unsigned line, Addr phys_line_addr);
 
-    /** Broadcast an ORE message to every TLB + the OMT (§4.3.3). */
+    /**
+     * Broadcast an ORE message to every TLB + the OMT (§4.3.3). The
+     * functional message only flips the TLBs' bits: the OMT bit is set
+     * with the overlay data, and serialization is timing.
+     */
+    template <typename Mode = Timed>
     Tick broadcastOre(Asid asid, Addr vpn, Opn opn, unsigned line, Tick t);
 
+    /** fork() and forkFunctional(). */
+    template <typename Mode>
+    Asid forkAs(Asid parent, ForkMode mode, Tick when, Tick *done);
+
     /**
-     * The fork overlay copy (§4.1), shared by fork() and
-     * forkFunctional(): every overlay line of @p parent is copied into
-     * @p child, pages in ascending-VPN order. @p copy_line(src, dst)
-     * charges the copy of one line (a no-op in functional mode).
+     * The fork overlay copy (§4.1): every overlay line of @p parent is
+     * copied into @p child, pages in ascending-VPN order. The timed copy
+     * also runs each line through the caches, advancing @p t.
      */
-    template <typename CopyLine>
-    void copyOverlays(Asid parent, Asid child, CopyLine &&copy_line);
+    template <typename Mode>
+    void copyOverlays(Asid parent, Asid child, Tick &t);
 
     /**
      * One page of a teardown, shared by unmap() and both process
      * teardowns, run just before the Vmm releases the page: discard the
-     * page's overlay and drop its lines, shoot down the page's
-     * translations when @p shoot_down, and drop the frame's lines if the
-     * release will free the frame. @p drop_line(addr) is the cache
-     * action: a timed invalidate or a functional drop.
+     * page's overlay and invalidate its lines, shoot down the page's
+     * translations when @p shoot_down, and invalidate the frame's lines
+     * if the release will free the frame.
      */
-    template <typename DropLine>
+    template <typename Mode>
     void teardownPage(Asid asid, Addr vpn, const Pte &pte, bool shoot_down,
-                      DropLine &&drop_line);
+                      Tick when);
 
     /** Tear down all of @p asid (see destroyProcess()). */
-    template <typename DropLine>
-    void teardownProcess(Asid asid, DropLine &&drop_line);
+    template <typename Mode>
+    void teardownProcess(Asid asid, Tick when);
 
     SystemConfig config_;
     PhysicalMemory physMem_;

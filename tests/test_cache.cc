@@ -115,7 +115,9 @@ TEST(Cache, RetagSameSetPreservesDirtiness)
     cache.access(0x0, true);
     // Same set index: add a multiple of numSets lines.
     Addr same_set = Addr(cache.numSets()) * kLineSize * 8;
-    EXPECT_TRUE(cache.retag(0x0, same_set));
+    SetAssocCache::MoveResult mv = cache.moveLine(0x0, same_set);
+    EXPECT_TRUE(mv.found);
+    EXPECT_FALSE(mv.eviction.has_value()); // tag updated in place
     EXPECT_FALSE(cache.isPresent(0x0));
     ASSERT_TRUE(cache.isPresent(same_set));
     auto ev = cache.invalidate(same_set);
@@ -123,18 +125,32 @@ TEST(Cache, RetagSameSetPreservesDirtiness)
     EXPECT_TRUE(ev->dirty);
 }
 
-TEST(Cache, RetagDifferentSetFails)
+TEST(Cache, MoveLineToDifferentSetRefills)
 {
     SetAssocCache cache("c", smallCache());
     cache.access(0x0, true);
-    EXPECT_FALSE(cache.retag(0x0, 0x40)); // next line = different set
-    EXPECT_TRUE(cache.isPresent(0x0));    // unchanged
+    // 0x40 indexes the next set; fill that set so the move's fill must
+    // displace a victim there.
+    Addr stride = Addr(cache.numSets()) * kLineSize;
+    for (unsigned w = 0; w < 4; ++w)
+        cache.access(0x40 + (w + 1) * stride, false);
+    SetAssocCache::MoveResult mv = cache.moveLine(0x0, 0x40);
+    EXPECT_TRUE(mv.found);
+    ASSERT_TRUE(mv.eviction.has_value());
+    EXPECT_EQ(mv.eviction->lineAddr, 0x40 + stride); // LRU way of the set
+    EXPECT_FALSE(cache.isPresent(0x0));
+    auto ev = cache.invalidate(0x40);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_TRUE(ev->dirty);
 }
 
-TEST(Cache, RetagMissingLineFails)
+TEST(Cache, MoveLineMissingLineNotFound)
 {
     SetAssocCache cache("c", smallCache());
-    EXPECT_FALSE(cache.retag(0x0, 0x1000));
+    SetAssocCache::MoveResult mv = cache.moveLine(0x0, 0x1000);
+    EXPECT_FALSE(mv.found);
+    EXPECT_FALSE(mv.eviction.has_value());
+    EXPECT_FALSE(cache.isPresent(0x1000));
 }
 
 TEST(Cache, WritebackAllVisitsEveryDirtyLine)

@@ -126,7 +126,7 @@ TEST(CacheRetag, RetaggedLineIsEvictableNormally)
     SetAssocCache cache("c", smallCache(ReplPolicy::LRU));
     cache.access(0x0, true);
     Addr overlay = Addr(0x0) | (Addr(1) << 63);
-    ASSERT_TRUE(cache.retag(0x0, overlay));
+    ASSERT_TRUE(cache.moveLine(0x0, overlay).found);
     // Fill the set; the retagged line must participate in replacement
     // and surface its dirtiness when displaced.
     Addr stride = Addr(cache.numSets()) * kLineSize;
@@ -141,15 +141,19 @@ TEST(CacheRetag, RetaggedLineIsEvictableNormally)
     EXPECT_TRUE(saw_dirty_overlay);
 }
 
-TEST(CacheRetag, RetagToOccupiedDestinationFails)
+TEST(CacheRetag, MoveToOccupiedDestinationFoldsDirtiness)
 {
     SetAssocCache cache("c", smallCache(ReplPolicy::LRU));
     Addr overlay = Addr(0x0) | (Addr(1) << 63);
-    cache.access(0x0, false);
+    cache.access(0x0, true);
     cache.access(overlay, false);
-    EXPECT_FALSE(cache.retag(0x0, overlay));
-    EXPECT_TRUE(cache.isPresent(0x0));
-    EXPECT_TRUE(cache.isPresent(overlay));
+    SetAssocCache::MoveResult mv = cache.moveLine(0x0, overlay);
+    EXPECT_TRUE(mv.found);
+    EXPECT_FALSE(mv.eviction.has_value());
+    EXPECT_FALSE(cache.isPresent(0x0));
+    auto ev = cache.invalidate(overlay);
+    ASSERT_TRUE(ev.has_value());
+    EXPECT_TRUE(ev->dirty); // the source's dirtiness moved with it
 }
 
 } // namespace
