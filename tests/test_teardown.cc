@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -82,6 +83,10 @@ struct TeardownDigest
     std::uint64_t shootdownHash = 0;
     /** Hash of every trace event, thread id removed. */
     std::uint64_t traceHash = 0;
+    /** The teardowns' tick, and the ticks their TLB shootdown instants
+     *  (per page and ASID-wide) carry. */
+    Tick teardownTick = 0;
+    std::set<Tick> shootdownTicks;
 };
 
 /** Write one 8-byte value into every @p stride-th line of a page. */
@@ -165,6 +170,7 @@ runScenario(bool functional)
             t = writePage(sys, kid, kPrivate + p * kPageSize, p, 11, kid, t);
     }
 
+    d.teardownTick = t;
     trace::start(path);
     for (Asid kid : {cow_kid, oow_kid, grand}) {
         if (functional)
@@ -219,6 +225,11 @@ runScenario(bool functional)
             ++d.shootdowns;
             shootdowns += line + '\n';
         }
+        std::size_t ts = line.find("\"ts\":");
+        if (line.find("\"name\":\"tlb_shootdown") != std::string::npos &&
+            ts != std::string::npos) {
+            d.shootdownTicks.insert(std::stoull(line.substr(ts + 5)));
+        }
     }
     std::remove(path.c_str());
     d.shootdownHash = fnv1a(shootdowns);
@@ -242,8 +253,10 @@ TEST(TeardownOrder, TimedTeardownIsPinned)
     EXPECT_EQ(d.statsHash, 0xf88529be5dbf25bbull);
     // 68 torn-down pages x 2 TLBs, in ascending-VPN order per process.
     EXPECT_EQ(d.shootdowns, 136u);
-    EXPECT_EQ(d.shootdownHash, 0xa7cdd287f6e85f43ull);
-    EXPECT_EQ(d.traceHash, 0x7d3923dd3e1ad8d7ull);
+    EXPECT_EQ(d.shootdownHash, 0x19ff6c400c82aff3ull);
+    EXPECT_EQ(d.traceHash, 0x25467efa06939cf7ull);
+    // Every shootdown instant of a timed teardown carries its tick.
+    EXPECT_EQ(d.shootdownTicks, std::set<Tick>{d.teardownTick});
 }
 
 TEST(TeardownOrder, FunctionalTeardownIsPinned)
@@ -263,6 +276,8 @@ TEST(TeardownOrder, FunctionalTeardownIsPinned)
     EXPECT_EQ(d.shootdowns, 136u);
     EXPECT_EQ(d.shootdownHash, 0xa7cdd287f6e85f43ull);
     EXPECT_EQ(d.traceHash, 0xb79b59020e66a5ebull);
+    // The functional teardown has no tick: its instants stay at 0.
+    EXPECT_EQ(d.shootdownTicks, std::set<Tick>{0});
 }
 
 TEST(TeardownLoop, ForkDestroyRoundsLeaveNoChunks)
