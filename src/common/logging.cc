@@ -54,6 +54,20 @@ panicImpl(const char *file, int line, const std::string &msg)
 }
 
 void
+assertFailImpl(const char *file, int line, const char *cond, const char *fmt,
+               ...)
+{
+    va_list args;
+    va_start(args, fmt);
+    char msg[512];
+    std::vsnprintf(msg, sizeof msg, fmt, args);
+    va_end(args);
+    std::fprintf(stderr, "panic: assertion failed: %s: %s (%s:%d)\n", cond,
+                 msg, file, line);
+    std::abort();
+}
+
+void
 fatalImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "fatal: %s (%s:%d)\n", msg.c_str(), file, line);

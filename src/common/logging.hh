@@ -20,6 +20,15 @@ namespace logging_detail
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
+
+/**
+ * ovl_assert's failure path: formats @p fmt here, out of line, so a
+ * check costs its call site only the arguments' addresses.
+ */
+[[noreturn, gnu::cold]] void assertFailImpl(const char *file, int line,
+                                            const char *cond,
+                                            const char *fmt, ...)
+    __attribute__((format(printf, 4, 5)));
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
@@ -61,11 +70,15 @@ bool quiet();
     ::ovl::logging_detail::informImpl( \
         ::ovl::logging_detail::formatString(__VA_ARGS__))
 
-/** Invariant check that is kept in release builds. */
+/**
+ * Invariant check that is kept in release builds. The printf-style
+ * message follows the condition in the panic text.
+ */
 #define ovl_assert(cond, ...) \
     do { \
         if (!(cond)) { \
-            ovl_panic("assertion failed: %s", #cond); \
+            ::ovl::logging_detail::assertFailImpl(__FILE__, __LINE__, \
+                                                  #cond, __VA_ARGS__); \
         } \
     } while (0)
 

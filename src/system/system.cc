@@ -693,20 +693,26 @@ System::forkFunctional(Asid parent, ForkMode mode)
 
 template <typename Mode>
 void
-System::teardownPage(Asid asid, Addr vpn, const Pte &pte, bool shoot_down,
-                     Tick when)
+System::invalidatePageLines(Addr page_addr, BitVector64 lines, Tick when)
 {
-    Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
-    if (const OmtEntry *entry = overlayMgr_.omt().find(opn)) {
+    for (unsigned l = lines.findFirst(); l < kLinesPerPage;
+         l = lines.findNext(l))
+        caches_.invalidateLine<Mode>(page_addr | (Addr(l) << kLineShift),
+                                     when);
+}
+
+template <typename Mode>
+inline void
+System::teardownPage(Asid asid, Addr vpn, const Pte &pte,
+                     const OmtEntry *entry, bool shoot_down, Tick when)
+{
+    if (entry != nullptr) {
         // Discard the overlay first so writebacks of its cached lines
         // are squashed, then drop those lines from the caches.
+        Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
         BitVector64 obv = entry->obv;
         overlayMgr_.discardOverlay(opn);
-        for (unsigned l = obv.findFirst(); l < kLinesPerPage;
-             l = obv.findNext(l)) {
-            caches_.invalidateLine<Mode>(
-                (opn << kPageShift) | (Addr(l) << kLineShift), when);
-        }
+        invalidatePageLines<Mode>(opn << kPageShift, obv, when);
     }
     if (shoot_down) {
         for (auto &tlb : tlbs_)
@@ -715,12 +721,9 @@ System::teardownPage(Asid asid, Addr vpn, const Pte &pte, bool shoot_down,
     // If the release that follows frees the frame, its cached lines must
     // not alias the frame's next user.
     if (pte.ppn != PhysicalMemory::kZeroFrame &&
-        physMem_.refCount(pte.ppn) == 1) {
-        for (unsigned l = 0; l < kLinesPerPage; ++l) {
-            caches_.invalidateLine<Mode>(
-                (pte.ppn << kPageShift) | (Addr(l) << kLineShift), when);
-        }
-    }
+        physMem_.refCount(pte.ppn) == 1)
+        invalidatePageLines<Mode>(pte.ppn << kPageShift,
+                                  BitVector64(~std::uint64_t(0)), when);
 }
 
 template <typename Mode>
@@ -731,14 +734,30 @@ System::teardownProcess(Asid asid, Tick when)
     // which only run while a trace records them, so traces keep their
     // per-page tlb_shootdown instants.
     bool trace_shootdowns = trace::active();
+    // The ASID's overlay pages, collected once in ascending OPN order
+    // (which is ascending VPN order) and merged into the page walk by a
+    // cursor: only those pages probe the OMT, so the cost follows the
+    // mapped pages plus the overlay pages.
+    Omt &omt = overlayMgr_.omt();
+    Opn first = overlay_addr::pageFromVirtual(asid, 0);
+    Opn end = first + overlay_addr::kPagesPerProcess;
+    std::vector<Opn> overlays;
+    omt.forEachInRange(first, end, [&](Opn opn, const OmtEntry &) {
+        overlays.push_back(opn);
+    });
+    auto next = overlays.begin();
     vmm_.unmapAll(asid, [&](Addr vpn, const Pte &pte) {
-        teardownPage<Mode>(asid, vpn, pte, trace_shootdowns, when);
+        Opn opn = overlay_addr::pageFromVirtual(asid, vpn);
+        while (next != overlays.end() && *next < opn)
+            ++next;
+        const OmtEntry *entry = nullptr;
+        if (next != overlays.end() && *next == opn)
+            entry = omt.find(opn);
+        teardownPage<Mode>(asid, vpn, pte, entry, trace_shootdowns, when);
     });
     for (auto &tlb : tlbs_)
         tlb->invalidateAsid(asid, when);
-    Opn first = overlay_addr::pageFromVirtual(asid, 0);
-    overlayMgr_.omt().dropEmptyChunks(first,
-                                      first + overlay_addr::kPagesPerProcess);
+    omt.dropEmptyChunks(first, end);
 }
 
 void
@@ -752,7 +771,10 @@ System::unmap(Asid asid, Addr vaddr, std::uint64_t len, Tick when)
         const Pte *pte = vmm_.resolve(asid, vpn);
         if (pte == nullptr)
             continue;
-        teardownPage<Timed>(asid, vpn, *pte, true, when);
+        teardownPage<Timed>(
+            asid, vpn, *pte,
+            overlayMgr_.omt().find(overlay_addr::pageFromVirtual(asid, vpn)),
+            true, when);
         vmm_.unmap(asid, va, kPageSize);
     }
 }

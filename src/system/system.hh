@@ -425,15 +425,26 @@ class System : public SimObject
     void copyOverlays(Asid parent, Asid child, Tick &t);
 
     /**
-     * One page of a teardown, shared by unmap() and both process
-     * teardowns, run just before the Vmm releases the page: discard the
-     * page's overlay and invalidate its lines, shoot down the page's
-     * translations when @p shoot_down, and invalidate the frame's lines
-     * if the release will free the frame.
+     * Invalidate, in every cache, the lines of the page at @p page_addr
+     * whose bits are set in @p lines, in ascending line order. Kept out
+     * of teardownPage() so that a page with nothing to invalidate costs
+     * the teardown walk only its checks.
      */
     template <typename Mode>
-    void teardownPage(Asid asid, Addr vpn, const Pte &pte, bool shoot_down,
-                      Tick when);
+    [[gnu::noinline]] void invalidatePageLines(Addr page_addr,
+                                               BitVector64 lines, Tick when);
+
+    /**
+     * One page of a teardown, shared by unmap() and both process
+     * teardowns, run just before the Vmm releases the page: discard the
+     * page's overlay @p entry (nullptr when the page has none) and
+     * invalidate its lines, shoot down the page's translations when
+     * @p shoot_down, and invalidate the frame's lines if the release
+     * will free the frame.
+     */
+    template <typename Mode>
+    void teardownPage(Asid asid, Addr vpn, const Pte &pte,
+                      const OmtEntry *entry, bool shoot_down, Tick when);
 
     /** Tear down all of @p asid (see destroyProcess()). */
     template <typename Mode>

@@ -12,9 +12,10 @@
  * blocks keyed by vpn>>9, binary-searched with a one-entry MRU cache.
  * Workload footprints are contiguous regions, so nearly every lookup
  * hits the cached leaf and costs a shift, a compare and an array index —
- * no hashing, no allocation. Iteration visits entries in ascending-VPN
- * order, which the fork/teardown paths rely on for determinism; a
- * teardown drops the whole table with clear() after one such pass.
+ * no hashing, no allocation. fork and teardown work a leaf at a time:
+ * forkInto() scans each leaf's present bitmap once and copies the leaf
+ * whole, and forEachPresent() visits entries in the ascending-VPN order
+ * the teardown relies on for determinism before clear() drops the table.
  */
 
 #ifndef OVERLAYSIM_VM_PAGE_TABLE_HH
@@ -25,10 +26,10 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "sim/snapshot.hh"
 
@@ -78,74 +79,6 @@ class PageTable
     {
         Addr chunk; ///< vpn >> kLeafBits
         std::unique_ptr<Leaf> leaf;
-    };
-
-    /**
-     * Forward iterator yielding pair-like {vpn, pte&} values in
-     * ascending-VPN order; bind with `auto &&[vpn, pte]`.
-     */
-    template <bool Const>
-    class IterT
-    {
-        using Table = std::conditional_t<Const, const PageTable, PageTable>;
-        using PteRef = std::conditional_t<Const, const Pte &, Pte &>;
-
-      public:
-        IterT(Table *table, std::size_t dir_index, unsigned offset)
-            : table_(table), dirIndex_(dir_index), offset_(offset)
-        {
-            skipToPresent();
-        }
-
-        std::pair<Addr, PteRef>
-        operator*() const
-        {
-            DirEntry &e = const_cast<DirEntry &>(table_->dir_[dirIndex_]);
-            return {(e.chunk << kLeafBits) | offset_,
-                    e.leaf->ptes[offset_]};
-        }
-
-        IterT &
-        operator++()
-        {
-            ++offset_;
-            skipToPresent();
-            return *this;
-        }
-
-        bool
-        operator==(const IterT &o) const
-        {
-            return dirIndex_ == o.dirIndex_ && offset_ == o.offset_;
-        }
-
-        bool operator!=(const IterT &o) const { return !(*this == o); }
-
-      private:
-        /** Advance to the next set present bit at or after offset_. */
-        void
-        skipToPresent()
-        {
-            while (dirIndex_ < table_->dir_.size()) {
-                const Leaf &leaf = *table_->dir_[dirIndex_].leaf;
-                while (offset_ < kLeafEntries) {
-                    std::uint64_t bits =
-                        leaf.present[offset_ >> 6] >> (offset_ & 63);
-                    if (bits != 0) {
-                        offset_ += unsigned(std::countr_zero(bits));
-                        return;
-                    }
-                    offset_ = (offset_ & ~63u) + 64; // next bitmap word
-                }
-                ++dirIndex_;
-                offset_ = 0;
-            }
-            offset_ = 0; // canonical end position
-        }
-
-        Table *table_;
-        std::size_t dirIndex_;
-        unsigned offset_;
     };
 
   public:
@@ -214,15 +147,70 @@ class PageTable
 
     std::size_t size() const { return size_; }
 
-    using iterator = IterT<false>;
-    using const_iterator = IterT<true>;
-
-    iterator begin() { return iterator(this, 0, 0); }
-    iterator end() { return iterator(this, dir_.size(), 0); }
-    const_iterator begin() const { return const_iterator(this, 0, 0); }
-    const_iterator end() const
+    /**
+     * Visit every slot whose present bit is set as fn(vpn, pte&), in
+     * ascending-VPN order, a leaf at a time. @p fn must not map or unmap
+     * pages.
+     */
+    template <typename Fn>
+    void
+    forEachPresent(Fn &&fn)
     {
-        return const_iterator(this, dir_.size(), 0);
+        for (DirEntry &e : dir_) {
+            Addr base = e.chunk << kLeafBits;
+            forEachBit(*e.leaf, [&](unsigned off) {
+                fn(base | off, e.leaf->ptes[off]);
+            });
+        }
+    }
+
+    /**
+     * fork(): copy this table into the empty @p child a leaf at a time.
+     * @p share(pte) applies the parent-side change to each PTE that is
+     * present (the sharing bits, the frame's extra reference); the leaf
+     * is then copied whole and appended to the child's directory in
+     * ascending chunk order. The child equals a page-by-page copy of the
+     * present PTEs: a slot whose present bit is set but whose PTE is not
+     * present (a restored snapshot can hold one) is left empty, and a
+     * leaf with no present PTE is not copied.
+     */
+    template <typename Fn>
+    void
+    forkInto(PageTable &child, Fn &&share)
+    {
+        ovl_assert(child.dir_.empty(), "fork into a non-empty page table");
+        child.dir_.reserve(dir_.size());
+        for (DirEntry &e : dir_) {
+            Leaf &from = *e.leaf;
+            unsigned copied = 0;
+            bool holes = false;
+            forEachBit(from, [&](unsigned off) {
+                Pte &pte = from.ptes[off];
+                if (pte.present) {
+                    share(pte);
+                    ++copied;
+                } else {
+                    holes = true;
+                }
+            });
+            if (copied == 0)
+                continue;
+            // The bulk copy runs after the whole pass, so it never reads
+            // a PTE whose flag bytes were just stored.
+            auto to = std::make_unique<Leaf>(from);
+            to->count = copied;
+            if (holes) {
+                forEachBit(from, [&](unsigned off) {
+                    if (!from.ptes[off].present) {
+                        to->present[off >> 6] &=
+                            ~(std::uint64_t(1) << (off & 63));
+                        to->ptes[off] = Pte{};
+                    }
+                });
+            }
+            child.size_ += copied;
+            child.dir_.push_back(DirEntry{e.chunk, std::move(to)});
+        }
     }
 
     void
@@ -266,11 +254,16 @@ class PageTable
             auto leaf = std::make_unique<Leaf>();
             for (std::uint64_t &word : leaf->present)
                 word = r.u64();
-            for (Pte &pte : leaf->ptes) {
+            for (unsigned off = 0; off < kLeafEntries; ++off) {
+                Pte &pte = leaf->ptes[off];
                 pte.ppn = r.u64();
                 std::uint8_t flags = r.u8();
                 if (flags & ~0x1F)
                     r.fail("unknown PTE flag bits");
+                // fork copies leaves whole: a slot outside the bitmap
+                // must hold nothing for the copy to equal a per-page one.
+                if (!leaf->test(off) && (pte.ppn != 0 || flags != 0))
+                    r.fail("PTE outside the present bitmap");
                 pte.present = flags & 1;
                 pte.writable = flags & 2;
                 pte.cow = flags & 4;
@@ -285,6 +278,18 @@ class PageTable
     }
 
   private:
+    /** Visit the set present bits of @p leaf as fn(offset), ascending. */
+    template <typename Fn>
+    static void
+    forEachBit(const Leaf &leaf, Fn &&fn)
+    {
+        for (unsigned w = 0; w < leaf.present.size(); ++w) {
+            for (std::uint64_t bits = leaf.present[w]; bits != 0;
+                 bits &= bits - 1)
+                fn(w * 64 + unsigned(std::countr_zero(bits)));
+        }
+    }
+
     Leaf *
     lookupLeaf(Addr chunk) const
     {

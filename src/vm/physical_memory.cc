@@ -46,36 +46,16 @@ PhysicalMemory::allocFrame()
 }
 
 void
-PhysicalMemory::addRef(Addr frame)
+PhysicalMemory::freeFrame(Addr frame)
 {
-    ovl_assert(frame < refCounts_.size() && refCounts_[frame] > 0,
-               "addRef on an unallocated frame");
-    ++refCounts_[frame];
-}
-
-void
-PhysicalMemory::release(Addr frame)
-{
-    if (frame == kZeroFrame)
-        return;
-    ovl_assert(frame < refCounts_.size() && refCounts_[frame] > 0,
-               "release of an unallocated frame");
-    if (--refCounts_[frame] == 0) {
-        // Retire the backing buffer to the pool; the next materializer
-        // zero-fills it, so a recycled frame still reads as zero.
-        if (contents_[frame])
-            pagePool_.push_back(std::move(contents_[frame]));
-        freeFrames_.push_back(frame);
-        ++framesFreed_;
-        --framesInUse_;
-        bytesGauge_.set(std::int64_t(bytesInUse()));
-    }
-}
-
-unsigned
-PhysicalMemory::refCount(Addr frame) const
-{
-    return frame < refCounts_.size() ? refCounts_[frame] : 0;
+    // Retire the backing buffer to the pool; the next materializer
+    // zero-fills it, so a recycled frame still reads as zero.
+    if (contents_[frame])
+        pagePool_.push_back(std::move(contents_[frame]));
+    freeFrames_.push_back(frame);
+    ++framesFreed_;
+    --framesInUse_;
+    bytesGauge_.set(std::int64_t(bytesInUse()));
 }
 
 PageData *

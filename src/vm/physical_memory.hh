@@ -83,6 +83,9 @@ class PhysicalMemory : public SimObject
     void deserialize(snapshot::Reader &r);
 
   private:
+    /** release()'s cold half: retire @p frame, whose count hit zero. */
+    void freeFrame(Addr frame);
+
     PageData *framePtr(Addr frame);
     const PageData *framePtrConst(Addr frame) const;
 
@@ -107,6 +110,32 @@ class PhysicalMemory : public SimObject
 };
 
 // ------------------------ inline hot path ------------------------------
+// fork and teardown adjust one frame's count per mapped page.
+
+inline void
+PhysicalMemory::addRef(Addr frame)
+{
+    ovl_assert(frame < refCounts_.size() && refCounts_[frame] > 0,
+               "addRef on an unallocated frame");
+    ++refCounts_[frame];
+}
+
+inline void
+PhysicalMemory::release(Addr frame)
+{
+    if (frame == kZeroFrame)
+        return;
+    ovl_assert(frame < refCounts_.size() && refCounts_[frame] > 0,
+               "release of an unallocated frame");
+    if (--refCounts_[frame] == 0)
+        freeFrame(frame);
+}
+
+inline unsigned
+PhysicalMemory::refCount(Addr frame) const
+{
+    return frame < refCounts_.size() ? refCounts_[frame] : 0;
+}
 
 inline const PageData *
 PhysicalMemory::framePtrConst(Addr frame) const

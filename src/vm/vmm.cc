@@ -89,9 +89,7 @@ Vmm::fork(Asid parent, ForkMode mode)
     Process &child_proc = process(child);
     ++forks_;
 
-    for (auto &&[vpn, pte] : parent_proc.pageTable) {
-        if (!pte.present)
-            continue;
+    parent_proc.pageTable.forkInto(child_proc.pageTable, [&](Pte &pte) {
         if (pte.writable) {
             // Mark shared-CoW in the parent; the OS tells hardware how
             // the divergence will be resolved (§2.2).
@@ -101,8 +99,7 @@ Vmm::fork(Asid parent, ForkMode mode)
         }
         if (pte.ppn != PhysicalMemory::kZeroFrame)
             physMem_.addRef(pte.ppn);
-        child_proc.pageTable.set(vpn, pte);
-    }
+    });
     return child;
 }
 

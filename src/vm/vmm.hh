@@ -84,9 +84,10 @@ class Vmm : public SimObject
     void unmap(Asid asid, Addr vaddr, std::uint64_t len);
 
     /**
-     * Remove every mapping of @p asid in one ascending-VPN pass: for each
-     * page, @p before_release(vpn, pte) runs and then the frame is
-     * released; the page table is dropped whole at the end. The order is
+     * Remove every mapping of @p asid in one ascending-VPN pass over the
+     * page table's present bits, a leaf at a time: for each page,
+     * @p before_release(vpn, pte) runs and then the frame is released;
+     * the page table is dropped whole at the end. The order is
      * that of unmapping page by page; @p before_release must not change
      * the page table.
      */
@@ -95,10 +96,10 @@ class Vmm : public SimObject
     unmapAll(Asid asid, Fn &&before_release)
     {
         PageTable &table = process(asid).pageTable;
-        for (auto &&[vpn, pte] : table) {
+        table.forEachPresent([&](Addr vpn, const Pte &pte) {
             before_release(vpn, pte);
             physMem_.release(pte.ppn);
-        }
+        });
         table.clear();
     }
 
@@ -107,7 +108,8 @@ class Vmm : public SimObject
      * becomes shared copy-on-write in both processes; with
      * ForkMode::OverlayOnWrite the OS additionally sets the
      * overlay-enabled bit so that hardware resolves write faults with
-     * overlays instead of page copies.
+     * overlays instead of page copies. The copy costs one pass per
+     * page-table leaf (PageTable::forkInto).
      *
      * @return the child's ASID.
      */

@@ -138,7 +138,7 @@ TEST(AccessFunctional, UnknownCoreDies)
     Asid asid = sys.createProcess();
     sys.mapAnon(asid, kBase, kPageSize);
     EXPECT_DEATH(sys.accessFunctional(asid, kBase, false, cfg.numTlbs),
-                 "core < tlbs_.size\\(\\)");
+                 "no such core/TLB");
 }
 
 /** One child lifecycle: fork, one write per page, teardown. */

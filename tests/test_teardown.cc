@@ -295,6 +295,10 @@ TEST(TeardownLoop, ForkDestroyRoundsLeaveNoChunks)
 
     const Omt &omt = sys.overlayManager().omt();
     const std::size_t parent_chunks = omt.chunkCount();
+    // Memory outside the OMT's radix nodes (which outlive a torn-down
+    // process, see above): data frames plus OMS segments in use.
+    auto held = [&] { return sys.additionalMemoryBytes() - omt.nodeBytes(); };
+    const std::uint64_t parent_held = held();
     ASSERT_EQ(parent_chunks, 1u);
     Opn first_dead = kInvalidAddr;
     Addr first_dead_walk = kInvalidAddr;
@@ -319,6 +323,18 @@ TEST(TeardownLoop, ForkDestroyRoundsLeaveNoChunks)
         ASSERT_EQ(omt.chunkCount(), parent_chunks) << "round " << round;
         // The chunk is gone, but its radix nodes stay: the same walk.
         ASSERT_EQ(omt.walkLastAddr(opn), walk) << "round " << round;
+        // Every frame reference the fork took is returned by the
+        // teardown, and the child's overlays free what they held.
+        ASSERT_EQ(held(), parent_held) << "round " << round;
+        for (Addr base : kRegions) {
+            for (unsigned p = 0; p < kRegionPages; ++p) {
+                const Pte *pte =
+                    sys.vmm().resolve(parent, pageNumber(base) + p);
+                ASSERT_NE(pte, nullptr);
+                ASSERT_EQ(sys.physMem().refCount(pte->ppn), 1u)
+                    << "round " << round << " page " << p;
+            }
+        }
         if (round == 0) {
             first_dead = opn;
             first_dead_walk = walk;
