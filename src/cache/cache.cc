@@ -4,6 +4,7 @@
 
 #include "common/intmath.hh"
 #include "common/logging.hh"
+#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -50,49 +51,28 @@ SetAssocCache::flushAll()
     std::fill(state_.begin(), state_.end(), LineState{});
 }
 
+template <typename Ar>
 void
-SetAssocCache::serialize(snapshot::Writer &w) const
+SetAssocCache::transfer(Ar &ar)
 {
-    w.beginSection("CACH");
-    w.u64(tags_.size());
-    for (Addr tag : tags_)
-        w.u64(tag);
-    for (const LineState &st : state_) {
-        w.b(st.dirty);
-        w.b(st.prefetched);
+    ar.section("CACH");
+    ar.fixedCount(tags_.size(), "cache '" + name() + "' line count");
+    for (Addr &tag : tags_)
+        ar.field(tag);
+    for (LineState &st : state_) {
+        ar.field(st.dirty);
+        ar.field(st.prefetched);
     }
-    // Emit the interleaved {lruSeq, rrpv} pairs of the pre-split layout
-    // so snapshots stay byte-compatible across the layout change.
+    // The interleaved {lruSeq, rrpv} pairs of the pre-split layout keep
+    // snapshots byte-compatible across the layout change.
     for (std::size_t i = 0; i < replLru_.size(); ++i) {
-        w.u64(replLru_[i]);
-        w.u8(replRrpv_[i]);
+        ar.field(replLru_[i]);
+        ar.field(replRrpv_[i]);
     }
-    repl_.serialize(w);
-    w.endSection();
+    repl_.transfer(ar);
+    ar.endSection();
 }
 
-void
-SetAssocCache::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("CACH");
-    std::uint64_t n = r.u64();
-    if (n != tags_.size()) {
-        r.fail("cache '" + name() + "' line count mismatch: snapshot " +
-               std::to_string(n) + ", configured " +
-               std::to_string(tags_.size()));
-    }
-    for (Addr &tag : tags_)
-        tag = r.u64();
-    for (LineState &st : state_) {
-        st.dirty = r.b();
-        st.prefetched = r.b();
-    }
-    for (std::size_t i = 0; i < replLru_.size(); ++i) {
-        replLru_[i] = r.u64();
-        replRrpv_[i] = r.u8();
-    }
-    repl_.deserialize(r);
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(SetAssocCache);
 
 } // namespace ovl

@@ -177,8 +177,7 @@ class SetAssocCache : public SimObject
     std::uint64_t misses() const { return misses_.value(); }
 
     /** Snapshot tags, line state, replacement state and the engine. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     /** Per-line flags; validity lives in the tag (kInvalidAddr = empty). */

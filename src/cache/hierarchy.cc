@@ -69,28 +69,19 @@ CacheHierarchy::resetStats()
     prefetcher_.resetStats();
 }
 
+template <typename Ar>
 void
-CacheHierarchy::serialize(snapshot::Writer &w) const
+CacheHierarchy::transfer(Ar &ar)
 {
-    w.beginSection("HIER");
-    l1_.serialize(w);
-    l2_.serialize(w);
-    l3_.serialize(w);
-    prefetcher_.serialize(w);
-    w.u64(prefetchBusyUntil_);
-    w.endSection();
+    ar.section("HIER");
+    l1_.transfer(ar);
+    l2_.transfer(ar);
+    l3_.transfer(ar);
+    prefetcher_.transfer(ar);
+    ar.field(prefetchBusyUntil_);
+    ar.endSection();
 }
 
-void
-CacheHierarchy::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("HIER");
-    l1_.deserialize(r);
-    l2_.deserialize(r);
-    l3_.deserialize(r);
-    prefetcher_.deserialize(r);
-    prefetchBusyUntil_ = r.u64();
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(CacheHierarchy);
 
 } // namespace ovl

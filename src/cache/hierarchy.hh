@@ -136,8 +136,7 @@ class CacheHierarchy : public SimObject
      * bandwidth cursor. prefetchScratch_ is a transient buffer cleared
      * before every use and carries no state.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     template <typename Mode>

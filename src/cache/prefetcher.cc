@@ -37,49 +37,29 @@ StreamPrefetcher::allocateStream()
     return victim;
 }
 
+template <typename Ar>
 void
-StreamPrefetcher::serialize(snapshot::Writer &w) const
+StreamPrefetcher::transfer(Ar &ar)
 {
-    w.beginSection("PREF");
-    w.u64(streams_.size());
-    for (const Stream &s : streams_) {
-        w.b(s.confirmed);
-        w.i64(s.direction);
-        w.u32(s.strikes);
-        w.u64(s.prefetchHead);
-    }
-    for (Addr last : lastLines_)
-        w.u64(last);
-    for (std::uint64_t seq : lruSeqs_)
-        w.u64(seq);
-    w.u64(validMask_);
-    w.u64(lruCounter_);
-    w.endSection();
-}
-
-void
-StreamPrefetcher::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("PREF");
-    std::uint64_t n = r.u64();
-    if (n != streams_.size()) {
-        r.fail("prefetcher stream count mismatch: snapshot " +
-               std::to_string(n) + ", configured " +
-               std::to_string(streams_.size()));
-    }
+    ar.section("PREF");
+    ar.fixedCount(streams_.size(), "prefetcher stream count");
     for (Stream &s : streams_) {
-        s.confirmed = r.b();
-        s.direction = int(r.i64());
-        s.strikes = r.u32();
-        s.prefetchHead = r.u64();
+        ar.field(s.confirmed);
+        std::int64_t direction = s.direction;
+        ar.field(direction);
+        s.direction = int(direction);
+        ar.field(s.strikes);
+        ar.field(s.prefetchHead);
     }
     for (Addr &last : lastLines_)
-        last = r.u64();
+        ar.field(last);
     for (std::uint64_t &seq : lruSeqs_)
-        seq = r.u64();
-    validMask_ = r.u64();
-    lruCounter_ = r.u64();
-    r.endSection();
+        ar.field(seq);
+    ar.field(validMask_);
+    ar.field(lruCounter_);
+    ar.endSection();
 }
+
+OVL_SNAPSHOT_INSTANTIATE(StreamPrefetcher);
 
 } // namespace ovl

@@ -64,8 +64,7 @@ class StreamPrefetcher : public SimObject
     std::uint64_t issued() const { return issued_.value(); }
 
     /** Snapshot the stream table and recency state. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     /** Per-stream training state (off the scan path; see the SoA note). */

@@ -1,6 +1,7 @@
 #include "replacement.hh"
 
 #include "common/logging.hh"
+#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -25,5 +26,17 @@ ReplacementEngine::ReplacementEngine(ReplPolicy policy, unsigned num_sets,
 {
     ovl_assert(num_sets > 0, "cache must have at least one set");
 }
+
+template <typename Ar>
+void
+ReplacementEngine::transfer(Ar &ar)
+{
+    ar.field(lruCounter_);
+    ar.field(brripThrottle_);
+    ar.field(psel_);
+    ar.field(rng_);
+}
+
+OVL_SNAPSHOT_INSTANTIATE(ReplacementEngine);
 
 } // namespace ovl

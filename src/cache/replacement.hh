@@ -12,7 +12,6 @@
 #include <string>
 
 #include "common/random.hh"
-#include "sim/snapshot.hh"
 
 namespace ovl
 {
@@ -195,27 +194,7 @@ class ReplacementEngine
     bool brripWinning() const { return psel_ > pselMax_ / 2; }
 
     /** Snapshot the LRU counter, throttles, PSEL and the RNG stream. */
-    void
-    serialize(snapshot::Writer &w) const
-    {
-        w.u64(lruCounter_);
-        w.u32(brripThrottle_);
-        w.u32(psel_);
-        for (std::uint64_t word : rng_.rawState())
-            w.u64(word);
-    }
-
-    void
-    deserialize(snapshot::Reader &r)
-    {
-        lruCounter_ = r.u64();
-        brripThrottle_ = r.u32();
-        psel_ = r.u32();
-        std::array<std::uint64_t, 4> state;
-        for (std::uint64_t &word : state)
-            word = r.u64();
-        rng_.setRawState(state);
-    }
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     static constexpr std::uint8_t kMaxRrpv = 3;

@@ -37,6 +37,14 @@ class BitVector64
     /** Raw 64-bit value (what travels in coherence messages). */
     constexpr std::uint64_t raw() const { return bits_; }
 
+    /** Save or restore the bits (sim/snapshot.hh). */
+    template <typename Ar>
+    void
+    transfer(Ar &ar)
+    {
+        ar.field(bits_);
+    }
+
     bool
     test(unsigned idx) const
     {

@@ -8,7 +8,6 @@
 #ifndef OVERLAYSIM_COMMON_RANDOM_HH
 #define OVERLAYSIM_COMMON_RANDOM_HH
 
-#include <array>
 #include <cstdint>
 
 namespace ovl
@@ -87,19 +86,13 @@ class Rng
     /** Bernoulli trial with probability @p p. */
     bool chance(double p) { return uniform() < p; }
 
-    /** Raw generator state, for snapshot serialization. */
-    std::array<std::uint64_t, 4>
-    rawState() const
-    {
-        return {state_[0], state_[1], state_[2], state_[3]};
-    }
-
-    /** Restore a state captured by rawState(). */
+    /** Save or restore the generator state (sim/snapshot.hh). */
+    template <typename Ar>
     void
-    setRawState(const std::array<std::uint64_t, 4> &s)
+    transfer(Ar &ar)
     {
-        for (unsigned i = 0; i < 4; ++i)
-            state_[i] = s[i];
+        for (std::uint64_t &word : state_)
+            ar.field(word);
     }
 
   private:

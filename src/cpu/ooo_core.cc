@@ -141,46 +141,30 @@ OooCore::run(Asid asid, const Trace &trace, Tick start)
     return finishEpoch();
 }
 
+template <typename Ar>
 void
-OooCore::serialize(snapshot::Writer &w) const
+OooCore::transfer(Ar &ar)
 {
-    w.beginSection("CORE");
-    w.u64(window_.size());
-    for (Tick done : window_)
-        w.u64(done);
-    w.u32(slotsThisCycle_);
-    w.u64(issueCycle_);
-    w.u64(lastCompletion_);
-    w.u64(maxCompletion_);
-    w.u64(epochStart_);
-    w.u64(epochCycles_);
-    w.u64(epochInstructions_);
-    statGroup().serializeStats(w);
-    w.endSection();
+    ar.section("CORE");
+    ar.size(window_, 8);
+    ar.check(window_.size() <= windowSize_, [&] {
+        return "core window occupancy " + std::to_string(window_.size()) +
+               " exceeds configured window of " +
+               std::to_string(windowSize_);
+    });
+    for (Tick &done : window_)
+        ar.field(done);
+    ar.field(slotsThisCycle_);
+    ar.field(issueCycle_);
+    ar.field(lastCompletion_);
+    ar.field(maxCompletion_);
+    ar.field(epochStart_);
+    ar.field(epochCycles_);
+    ar.field(epochInstructions_);
+    statGroup().transfer(ar);
+    ar.endSection();
 }
 
-void
-OooCore::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("CORE");
-    std::uint64_t occupancy = r.count(8);
-    if (occupancy > windowSize_) {
-        r.fail("core window occupancy " + std::to_string(occupancy) +
-               " exceeds configured window of " +
-               std::to_string(windowSize_));
-    }
-    window_.clear();
-    for (std::uint64_t i = 0; i < occupancy; ++i)
-        window_.push_back(r.u64());
-    slotsThisCycle_ = r.u32();
-    issueCycle_ = r.u64();
-    lastCompletion_ = r.u64();
-    maxCompletion_ = r.u64();
-    epochStart_ = r.u64();
-    epochCycles_ = r.u64();
-    epochInstructions_ = r.u64();
-    statGroup().deserializeStats(r);
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(OooCore);
 
 } // namespace ovl

@@ -112,8 +112,7 @@ class OooCore : public SimObject
      * structural; the restored core must be bound to the restored
      * System.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     /** Reserve a window slot; returns the earliest issue cycle. */

@@ -115,64 +115,38 @@ DramController::resetTiming()
     dram_.resetTiming();
 }
 
+template <typename Ar>
 void
-DramModel::serialize(snapshot::Writer &w) const
+DramModel::transfer(Ar &ar)
 {
-    w.beginSection("DRAM");
-    w.u64(banks_.size());
-    for (const Bank &bank : banks_) {
-        w.u64(bank.openRow);
-        w.u64(bank.readyAt);
-        w.u64(bank.activatedAt);
-    }
-    w.u64(busReadyAt_);
-    w.endSection();
-}
-
-void
-DramModel::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("DRAM");
-    std::uint64_t n = r.u64();
-    if (n != banks_.size()) {
-        r.fail("DRAM bank count mismatch: snapshot " + std::to_string(n) +
-               ", configured " + std::to_string(banks_.size()));
-    }
+    ar.section("DRAM");
+    ar.fixedCount(banks_.size(), "DRAM bank count");
     for (Bank &bank : banks_) {
-        bank.openRow = r.u64();
-        bank.readyAt = r.u64();
-        bank.activatedAt = r.u64();
+        ar.field(bank.openRow);
+        ar.field(bank.readyAt);
+        ar.field(bank.activatedAt);
     }
-    busReadyAt_ = r.u64();
-    r.endSection();
+    ar.field(busReadyAt_);
+    ar.endSection();
 }
 
+OVL_SNAPSHOT_INSTANTIATE(DramModel);
+
+template <typename Ar>
 void
-DramController::serialize(snapshot::Writer &w) const
+DramController::transfer(Ar &ar)
 {
-    w.beginSection("DCTL");
-    w.u64(writeBuffer_.size());
-    for (Addr addr : writeBuffer_)
-        w.u64(addr);
-    w.u64(drainBusyUntil_);
-    dram_.serialize(w);
-    w.endSection();
+    ar.section("DCTL");
+    ar.size(writeBuffer_, 8);
+    ar.check(writeBuffer_.size() <= writeBufferEntries_,
+             "write buffer holds more entries than configured");
+    for (Addr &addr : writeBuffer_)
+        ar.field(addr);
+    ar.field(drainBusyUntil_);
+    dram_.transfer(ar);
+    ar.endSection();
 }
 
-void
-DramController::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("DCTL");
-    std::uint64_t n = r.count(8);
-    if (n > writeBufferEntries_)
-        r.fail("write buffer holds more entries than configured");
-    writeBuffer_.clear();
-    writeBuffer_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i)
-        writeBuffer_.push_back(r.u64());
-    drainBusyUntil_ = r.u64();
-    dram_.deserialize(r);
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(DramController);
 
 } // namespace ovl

@@ -132,8 +132,7 @@ class DramModel : public SimObject
     std::uint64_t rowConflicts() const { return rowConflicts_.value(); }
 
     /** Snapshot bank open-row/timing state and the bus cursor. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     struct Bank
@@ -219,8 +218,7 @@ class DramController : public SimObject
     std::uint64_t drains() const { return drains_.value(); }
 
     /** Snapshot the write buffer, drain state and the DRAM model. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     DramModel dram_;

@@ -171,65 +171,45 @@ OmsAllocator::freeCount(SegClass cls) const
     return counts_[unsigned(cls)];
 }
 
+template <typename Ar>
 void
-OmsAllocator::serialize(snapshot::Writer &w) const
+OmsAllocator::transfer(Ar &ar)
 {
-    w.beginSection("OMS ");
-    w.u64(pages_.size());
-    for (const PageMeta &pm : pages_) {
-        w.u64(pm.base);
-        for (std::uint32_t nxt : pm.next)
-            w.u32(nxt);
-        for (std::uint32_t prv : pm.prev)
-            w.u32(prv);
-        w.blob(pm.freeCls.data(), pm.freeCls.size());
-    }
-    for (std::uint32_t head : heads_)
-        w.u32(head);
-    for (std::size_t cnt : counts_)
-        w.u64(cnt);
-    w.endSection();
-}
-
-void
-OmsAllocator::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("OMS ");
-    std::uint64_t num_pages =
-        r.count(8 + kUnitsPerPage * 4 * 2 + kUnitsPerPage);
-    pages_.clear();
-    pages_.reserve(num_pages);
-    pageIndex_.clear();
-    lastPageBase_ = kInvalidAddr;
-    lastPageIdx_ = 0;
-    for (std::uint64_t i = 0; i < num_pages; ++i) {
-        pages_.emplace_back();
-        PageMeta &pm = pages_.back();
-        pm.base = r.u64();
-        if (pageOffset(pm.base) != 0)
-            r.fail("OMS page base not page-aligned");
+    ar.section("OMS ");
+    ar.size(pages_, 8 + kUnitsPerPage * 4 * 2 + kUnitsPerPage);
+    for (PageMeta &pm : pages_) {
+        ar.field(pm.base);
+        ar.check(pageOffset(pm.base) == 0, "OMS page base not page-aligned");
         for (std::uint32_t &nxt : pm.next)
-            nxt = r.u32();
+            ar.field(nxt);
         for (std::uint32_t &prv : pm.prev)
-            prv = r.u32();
-        r.blob(pm.freeCls.data(), pm.freeCls.size());
+            ar.field(prv);
+        ar.bytes(pm.freeCls.data(), pm.freeCls.size());
         for (std::int8_t cls : pm.freeCls) {
-            if (cls != kNotFree &&
-                (cls < 0 || cls >= std::int8_t(kNumSegClasses))) {
-                r.fail("OMS unit free-class out of range");
-            }
+            ar.check(cls == kNotFree ||
+                         (cls >= 0 && cls < std::int8_t(kNumSegClasses)),
+                     "OMS unit free-class out of range");
         }
-        if (!pageIndex_.emplace(pm.base, std::uint32_t(i)).second)
-            r.fail("duplicate OMS page base in snapshot");
     }
     for (std::uint32_t &head : heads_) {
-        head = r.u32();
-        if (head != kNullRef && (head >> 4) >= pages_.size())
-            r.fail("OMS free-list head out of page bounds");
+        ar.field(head);
+        ar.check(head == kNullRef || (head >> 4) < pages_.size(),
+                 "OMS free-list head out of page bounds");
     }
     for (std::size_t &cnt : counts_)
-        cnt = std::size_t(r.u64());
-    r.endSection();
+        ar.field(cnt);
+    if constexpr (Ar::kLoading) {
+        pageIndex_.clear();
+        lastPageBase_ = kInvalidAddr;
+        lastPageIdx_ = 0;
+        for (std::uint32_t i = 0; i < pages_.size(); ++i) {
+            ar.check(pageIndex_.emplace(pages_[i].base, i).second,
+                     "duplicate OMS page base in snapshot");
+        }
+    }
+    ar.endSection();
 }
+
+OVL_SNAPSHOT_INSTANTIATE(OmsAllocator);
 
 } // namespace ovl

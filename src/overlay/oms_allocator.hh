@@ -80,8 +80,7 @@ class OmsAllocator : public SimObject
      * pages_ on restore; the MRU page cache is reset. The OS allocation
      * hook is structural and not serialized.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     /** 256 B units per OS page: the finest segment granularity. */

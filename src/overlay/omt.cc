@@ -180,123 +180,81 @@ Omt::ensureNodePath(Opn opn)
         nodeLineAddr(level, opn, true);
 }
 
+template <typename Ar>
 void
-Omt::serialize(snapshot::Writer &w) const
+Omt::transfer(Ar &ar)
 {
-    w.beginSection("OMT ");
-    w.u64(chunks_.size());
-    for (const auto &[chunk_id, chunk] : chunks_) {
-        w.u64(chunk_id);
-        for (std::uint32_t slot : chunk->slots)
-            w.u32(slot);
-        for (Addr line : chunk->upperLines)
-            w.u64(line);
-        w.u64(chunk->leafBase);
-        w.u32(chunk->live);
+    ar.section("OMT ");
+    ar.size(chunks_, kChunkSize * 4);
+    for (std::size_t i = 0; i < chunks_.size(); ++i) {
+        auto &[chunk_id, chunk] = chunks_[i];
+        ar.field(chunk_id);
+        ar.check(i == 0 || chunk_id > chunks_[i - 1].first,
+                 "OMT chunk directory not strictly ascending");
+        if (!chunk)
+            chunk = std::make_unique<Chunk>();
+        for (std::uint32_t &slot : chunk->slots)
+            ar.field(slot);
+        for (Addr &line : chunk->upperLines)
+            ar.field(line);
+        ar.field(chunk->leafBase);
+        ar.field(chunk->live);
     }
     // The arena is written index-for-index, free entries included: chunk
     // slots and OverlayManager page-data indices reference arena
     // positions, so the layout must survive the round trip exactly.
-    w.u64(arena_.size());
-    for (const OmtEntry &e : arena_) {
-        w.u64(e.obv.raw());
-        w.b(e.hasSegment);
-        w.u32(e.pageDataIdx);
-        w.u64(e.seg.baseAddr);
-        w.u8(std::uint8_t(e.seg.cls));
-        w.blob(e.seg.meta.slotOf.data(), e.seg.meta.slotOf.size());
-        w.u32(e.seg.meta.freeSlots);
+    ar.size(arena_, 8 + 1 + 4 + 8 + 1 + 64 + 4);
+    for (OmtEntry &e : arena_) {
+        ar.field(e.obv);
+        ar.field(e.hasSegment);
+        ar.field(e.pageDataIdx);
+        ar.field(e.seg.baseAddr);
+        ar.field(e.seg.cls);
+        ar.check(unsigned(e.seg.cls) < kNumSegClasses, [&] {
+            return "OMT entry segment class " +
+                   std::to_string(unsigned(e.seg.cls)) + " out of range";
+        });
+        ar.bytes(e.seg.meta.slotOf.data(), e.seg.meta.slotOf.size());
+        ar.field(e.seg.meta.freeSlots);
     }
-    w.u64(freeEntries_.size());
-    for (std::uint32_t idx : freeEntries_)
-        w.u32(idx);
-    w.u64(size_);
+    ar.size(freeEntries_, 4);
+    for (std::uint32_t &idx : freeEntries_) {
+        ar.field(idx);
+        ar.check(idx < arena_.size(),
+                 "OMT free-list index out of arena bounds");
+    }
+    ar.field(size_);
     // The node map is written sorted by key so identical table state
     // always produces identical bytes, independent of hash iteration
     // order.
     std::vector<std::pair<std::uint64_t, Addr>> nodes(nodes_.begin(),
                                                       nodes_.end());
     std::sort(nodes.begin(), nodes.end());
-    w.u64(nodes.size());
-    for (const auto &[key, addr] : nodes) {
-        w.u64(key);
-        w.u64(addr);
+    ar.size(nodes, 16);
+    for (auto &[key, addr] : nodes) {
+        ar.field(key);
+        ar.field(addr);
     }
-    w.endSection();
-}
-
-void
-Omt::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("OMT ");
-    chunks_.clear();
-    cachedChunkId_ = ~std::uint64_t(0);
-    cachedChunk_ = nullptr;
-    cachedOpn_ = kInvalidAddr;
-    cachedEntry_ = nullptr;
-
-    std::uint64_t num_chunks = r.count(kChunkSize * 4);
-    chunks_.reserve(num_chunks);
-    std::uint64_t prev_id = 0;
-    for (std::uint64_t i = 0; i < num_chunks; ++i) {
-        std::uint64_t chunk_id = r.u64();
-        if (i > 0 && chunk_id <= prev_id)
-            r.fail("OMT chunk directory not strictly ascending");
-        prev_id = chunk_id;
-        auto chunk = std::make_unique<Chunk>();
-        for (std::uint32_t &slot : chunk->slots)
-            slot = r.u32();
-        for (Addr &line : chunk->upperLines)
-            line = r.u64();
-        chunk->leafBase = r.u64();
-        chunk->live = r.u32();
-        chunks_.emplace_back(chunk_id, std::move(chunk));
-    }
-
-    std::uint64_t arena_size = r.count(8 + 1 + 4 + 8 + 1 + 64 + 4);
-    arena_.clear();
-    for (std::uint64_t i = 0; i < arena_size; ++i) {
-        OmtEntry e;
-        e.obv = BitVector64(r.u64());
-        e.hasSegment = r.b();
-        e.pageDataIdx = r.u32();
-        e.seg.baseAddr = r.u64();
-        std::uint8_t cls = r.u8();
-        if (cls >= kNumSegClasses)
-            r.fail("OMT entry segment class " + std::to_string(cls) +
-                   " out of range");
-        e.seg.cls = SegClass(cls);
-        r.blob(e.seg.meta.slotOf.data(), e.seg.meta.slotOf.size());
-        e.seg.meta.freeSlots = r.u32();
-        arena_.push_back(e);
-    }
-
-    freeEntries_.resize(r.count(4));
-    for (std::uint32_t &idx : freeEntries_) {
-        idx = r.u32();
-        if (idx >= arena_.size())
-            r.fail("OMT free-list index out of arena bounds");
-    }
-    size_ = r.u64();
-
-    nodes_.clear();
-    std::uint64_t num_nodes = r.count(16);
-    nodes_.reserve(num_nodes);
-    for (std::uint64_t i = 0; i < num_nodes; ++i) {
-        std::uint64_t key = r.u64();
-        Addr addr = r.u64();
-        nodes_.emplace(key, addr);
-    }
-
-    // Validate chunk slots against the restored arena.
     for (const auto &[chunk_id, chunk] : chunks_) {
         for (std::uint32_t slot : chunk->slots) {
-            if (slot != kNoEntry && slot >= arena_.size())
-                r.fail("OMT chunk slot index out of arena bounds");
+            ar.check(slot == kNoEntry || slot < arena_.size(),
+                     "OMT chunk slot index out of arena bounds");
         }
     }
-    r.endSection();
+    if constexpr (Ar::kLoading) {
+        cachedChunkId_ = ~std::uint64_t(0);
+        cachedChunk_ = nullptr;
+        cachedOpn_ = kInvalidAddr;
+        cachedEntry_ = nullptr;
+        nodes_.clear();
+        nodes_.reserve(nodes.size());
+        for (const auto &[key, addr] : nodes)
+            nodes_.emplace(key, addr);
+    }
+    ar.endSection();
 }
+
+OVL_SNAPSHOT_INSTANTIATE(Omt);
 
 OmtCache::OmtCache(std::string name, OmtCacheParams params)
     : SimObject(std::move(name)), params_(params),
@@ -403,39 +361,22 @@ OmtCache::isPresent(Opn opn) const
     return findWay(opn) != nullptr;
 }
 
+template <typename Ar>
 void
-OmtCache::serialize(snapshot::Writer &w) const
+OmtCache::transfer(Ar &ar)
 {
-    w.beginSection("OMTC");
-    w.u64(ways_.size());
-    for (const Way &way : ways_) {
-        w.b(way.valid);
-        w.b(way.modified);
-        w.u64(way.opn);
-        w.u64(way.lruSeq);
+    ar.section("OMTC");
+    ar.fixedCount(ways_.size(), "OMT cache way count");
+    for (Way &way : ways_) {
+        ar.field(way.valid);
+        ar.field(way.modified);
+        ar.field(way.opn);
+        ar.field(way.lruSeq);
     }
-    w.u64(lruCounter_);
-    w.endSection();
+    ar.field(lruCounter_);
+    ar.endSection();
 }
 
-void
-OmtCache::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("OMTC");
-    std::uint64_t n = r.u64();
-    if (n != ways_.size()) {
-        r.fail("OMT cache way count mismatch: snapshot " +
-               std::to_string(n) + ", configured " +
-               std::to_string(ways_.size()));
-    }
-    for (Way &way : ways_) {
-        way.valid = r.b();
-        way.modified = r.b();
-        way.opn = r.u64();
-        way.lruSeq = r.u64();
-    }
-    lruCounter_ = r.u64();
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(OmtCache);
 
 } // namespace ovl

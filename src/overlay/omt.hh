@@ -118,8 +118,7 @@ class Omt : public SimObject
      * radix-node map. The node allocator is structural and not
      * serialized; the MRU caches are reset on restore.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
     /** Visit every live entry as fn(opn, entry), in ascending OPN order. */
     template <typename Fn>
@@ -360,8 +359,7 @@ class OmtCache : public SimObject
     std::uint64_t misses() const { return misses_.value(); }
 
     /** Snapshot tags, modified bits and recency state. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     struct Way

@@ -347,61 +347,41 @@ OverlayManager::ensureSlot(OmtEntry &entry, Opn opn, unsigned line_in_page,
     return entry.seg.lineAddr(line_in_page);
 }
 
+template <typename Ar>
 void
-OverlayManager::serialize(snapshot::Writer &w) const
+OverlayManager::transfer(Ar &ar)
 {
-    w.beginSection("OVLM");
-    omt_.serialize(w);
-    omtCache_.serialize(w);
-    allocator_.serialize(w);
+    ar.section("OVLM");
+    omt_.transfer(ar);
+    omtCache_.transfer(ar);
+    allocator_.transfer(ar);
     // Page-data slots are written index-for-index (retired slots as
     // absent) so OmtEntry::pageDataIdx stays valid across the round
     // trip.
-    w.u64(pageStore_.size());
-    for (const auto &page : pageStore_) {
-        w.b(page != nullptr);
-        if (page == nullptr)
+    ar.size(pageStore_, 1);
+    for (std::unique_ptr<OverlayPageData> &page : pageStore_) {
+        bool live = page != nullptr;
+        ar.field(live);
+        if (!live)
             continue;
-        w.u64(page->present.raw());
-        w.blob(page->lines.data(), sizeof(page->lines));
+        if (!page)
+            page = std::make_unique<OverlayPageData>();
+        ar.field(page->present);
+        ar.bytes(page->lines.data(), sizeof(page->lines));
     }
-    w.u64(freePages_.size());
-    for (std::uint32_t idx : freePages_)
-        w.u32(idx);
-    w.u64(omsBytesInUse_);
-    w.endSection();
+    ar.size(freePages_, 4);
+    for (std::uint32_t &idx : freePages_) {
+        ar.field(idx);
+        ar.check(idx < pageStore_.size(),
+                 "overlay free-page index out of store bounds");
+    }
+    // The omsBytes gauge is a stat: it travels in the System's STAT
+    // section, restored after this one.
+    ar.field(omsBytesInUse_);
+    ar.endSection();
 }
 
-void
-OverlayManager::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("OVLM");
-    omt_.deserialize(r);
-    omtCache_.deserialize(r);
-    allocator_.deserialize(r);
-    std::uint64_t num_pages = r.count(1);
-    pageStore_.clear();
-    pageStore_.reserve(num_pages);
-    for (std::uint64_t i = 0; i < num_pages; ++i) {
-        if (!r.b()) {
-            pageStore_.push_back(nullptr);
-            continue;
-        }
-        auto page = std::make_unique<OverlayPageData>();
-        page->present = BitVector64(r.u64());
-        r.blob(page->lines.data(), sizeof(page->lines));
-        pageStore_.push_back(std::move(page));
-    }
-    freePages_.resize(r.count(4));
-    for (std::uint32_t &idx : freePages_) {
-        idx = r.u32();
-        if (idx >= pageStore_.size())
-            r.fail("overlay free-page index out of store bounds");
-    }
-    omsBytesInUse_ = r.u64();
-    omsBytesGauge_.set(std::int64_t(omsBytesInUse_));
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(OverlayManager);
 
 std::uint64_t
 OverlayManager::segmentCount(SegClass cls) const

@@ -140,8 +140,7 @@ class OverlayManager : public SimObject
      * pageDataIdx references store positions), the free-page list and
      * the OMS byte accounting.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     /**

@@ -13,9 +13,9 @@ writeSnapshotFile(const std::string &path,
 {
     OVL_PROF_SCOPE(SnapshotIo);
     Writer header;
-    header.u64(kFileMagic);
-    header.u32(kFormatVersion);
-    header.u64(payload.size());
+    header.field(kFileMagic);
+    header.field(kFormatVersion);
+    header.field(std::uint64_t(payload.size()));
 
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (f == nullptr)
@@ -51,7 +51,8 @@ readSnapshotFile(const std::string &path)
     if (raw.size() < 8 + 4 + 8)
         throw SnapshotError("'" + path + "' is too short to be a snapshot (" +
                             std::to_string(raw.size()) + " bytes)");
-    std::uint64_t magic = r.u64();
+    std::uint64_t magic = 0;
+    r.field(magic);
     if (magic != kFileMagic) {
         char buf[64];
         std::snprintf(buf, sizeof(buf), "%016llx",
@@ -59,13 +60,15 @@ readSnapshotFile(const std::string &path)
         throw SnapshotError("'" + path + "' is not a snapshot file (magic " +
                             buf + ")");
     }
-    std::uint32_t version = r.u32();
+    std::uint32_t version = 0;
+    r.field(version);
     if (version != kFormatVersion) {
         throw SnapshotError(
             "'" + path + "' has format version " + std::to_string(version) +
             "; this build reads version " + std::to_string(kFormatVersion));
     }
-    std::uint64_t len = r.u64();
+    std::uint64_t len = 0;
+    r.field(len);
     if (len != raw.size() - (8 + 4 + 8)) {
         throw SnapshotError("'" + path + "' payload length mismatch: header "
                             "says " + std::to_string(len) + ", file holds " +

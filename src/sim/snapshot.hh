@@ -12,6 +12,31 @@
  *     `restore` — the same byte stream wrapped in a versioned file
  *     header (magic + version + per-section length framing).
  *
+ * Each stateful component writes its layout once, as
+ * `template <typename Ar> void transfer(Ar &ar)`, defined in its .cc and
+ * instantiated there for both archives (OVL_SNAPSHOT_INSTANTIATE). The
+ * Writer saves and the Reader restores through the same primitives, all
+ * taking references:
+ *
+ *  - section(tag) / endSection(): a 4-char tagged, length-framed section;
+ *  - field(v): one value at its type's width (bool as one byte, enums at
+ *    their underlying type, double as its bits, strings length-prefixed,
+ *    class types through their own transfer());
+ *  - bytes(p, n): n raw bytes;
+ *  - size(container, min): the container's element count; restore
+ *    bounds it by the payload left at @p min bytes per element, then
+ *    empties the container and resizes it to that count;
+ *  - fixedCount(configured, what): a count fixed by the configuration;
+ *    restore fails naming @p what when the snapshot's differs;
+ *  - check(ok, what): restore-side validation, a no-op on save;
+ *  - kLoading: true on the Reader only. A component resets or rebuilds
+ *    its host-side caches and indexes (MRU pointers, lookup maps) in one
+ *    `if constexpr (Ar::kLoading)` block after its fields are read.
+ *
+ * Saving observes without mutating: a transfer body may assign a member
+ * back from a local it encoded (a packed flag byte, a widened int), but
+ * on save that is the value the member already held.
+ *
  * The format is deliberately dumb: little-endian fixed-width integers,
  * length-prefixed blobs, and tagged length-framed sections. Every read
  * is bounds-checked against both the buffer and the innermost open
@@ -22,10 +47,13 @@
 #ifndef OVERLAYSIM_SIM_SNAPSHOT_HH
 #define OVERLAYSIM_SIM_SNAPSHOT_HH
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace ovl::snapshot
@@ -45,73 +73,76 @@ constexpr std::uint64_t kFileMagic = 0x0A50414E534C564Full;
 constexpr std::uint32_t kFormatVersion = 1;
 
 /**
- * Append-only byte-stream writer. Sections open with a 4-char tag and a
- * length placeholder that endSection() patches, so readers can verify
- * per-section framing without understanding the payload.
+ * Append-only byte-stream writer: the save side of every transfer().
+ * Sections open with a 4-char tag and a length placeholder that
+ * endSection() patches, so readers can verify per-section framing
+ * without understanding the payload.
  */
 class Writer
 {
   public:
+    static constexpr bool kLoading = false;
+
+    /** Append @p v little-endian at the width of its type. */
+    template <typename T>
     void
-    u8(std::uint8_t v)
+    field(T &&v)
     {
-        buf_.push_back(v);
-    }
-
-    void b(bool v) { u8(v ? 1 : 0); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        u8(std::uint8_t(v));
-        u8(std::uint8_t(v >> 8));
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        u16(std::uint16_t(v));
-        u16(std::uint16_t(v >> 16));
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        u32(std::uint32_t(v));
-        u32(std::uint32_t(v >> 32));
-    }
-
-    void i64(std::int64_t v) { u64(std::uint64_t(v)); }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
+        using U = std::remove_cvref_t<T>;
+        if constexpr (requires(Writer &w) { v.transfer(w); }) {
+            v.transfer(*this);
+        } else if constexpr (std::is_same_v<U, bool>) {
+            buf_.push_back(v ? 1 : 0);
+        } else if constexpr (std::is_same_v<U, std::string>) {
+            field(std::uint64_t(v.size()));
+            bytes(v.data(), v.size());
+        } else if constexpr (std::is_enum_v<U>) {
+            field(std::underlying_type_t<U>(v));
+        } else if constexpr (std::is_same_v<U, double>) {
+            field(std::bit_cast<std::uint64_t>(v));
+        } else {
+            static_assert(std::is_integral_v<U>, "no snapshot encoding");
+            std::uint8_t le[sizeof(U)];
+            for (unsigned i = 0; i < sizeof(U); ++i)
+                le[i] = std::uint8_t(std::make_unsigned_t<U>(v) >> (8 * i));
+            bytes(le, sizeof(U));
+        }
     }
 
     void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        blob(s.data(), s.size());
-    }
-
-    void
-    blob(const void *data, std::size_t len)
+    bytes(const void *data, std::size_t len)
     {
         const auto *p = static_cast<const std::uint8_t *>(data);
         buf_.insert(buf_.end(), p, p + len);
     }
 
+    template <typename C>
+    void
+    size(const C &container, std::uint64_t)
+    {
+        field(std::uint64_t(container.size()));
+    }
+
+    template <typename T>
+    void
+    fixedCount(T configured, std::string_view)
+    {
+        field(configured);
+    }
+
+    template <typename Msg>
+    void
+    check(bool, const Msg &)
+    {
+    }
+
     /** Open a length-framed section tagged with 4 ASCII chars. */
     void
-    beginSection(const char tag[4])
+    section(const char tag[4])
     {
-        blob(tag, 4);
+        bytes(tag, 4);
         sectionStack_.push_back(buf_.size());
-        u64(0); // length placeholder, patched by endSection()
+        field(std::uint64_t(0)); // length placeholder, patched below
     }
 
     void
@@ -133,12 +164,15 @@ class Writer
 };
 
 /**
- * Bounds-checked reader over a snapshot byte stream. Does not own the
- * buffer; the caller keeps it alive for the Reader's lifetime.
+ * Bounds-checked reader over a snapshot byte stream: the restore side of
+ * every transfer(). Does not own the buffer; the caller keeps it alive
+ * for the Reader's lifetime.
  */
 class Reader
 {
   public:
+    static constexpr bool kLoading = true;
+
     Reader(const std::uint8_t *data, std::size_t size)
         : data_(data), size_(size)
     {
@@ -149,67 +183,47 @@ class Reader
     {
     }
 
-    std::uint8_t
-    u8()
+    /** Read @p v as Writer::field wrote it. */
+    template <typename T>
+    void
+    field(T &v)
     {
-        need(1);
-        return data_[pos_++];
-    }
-
-    bool
-    b()
-    {
-        std::uint8_t v = u8();
-        if (v > 1)
-            fail("boolean field holds " + std::to_string(v));
-        return v != 0;
-    }
-
-    std::uint16_t
-    u16()
-    {
-        std::uint16_t lo = u8();
-        return std::uint16_t(lo | (std::uint16_t(u8()) << 8));
-    }
-
-    std::uint32_t
-    u32()
-    {
-        std::uint32_t lo = u16();
-        return lo | (std::uint32_t(u16()) << 16);
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint64_t lo = u32();
-        return lo | (std::uint64_t(u32()) << 32);
-    }
-
-    std::int64_t i64() { return std::int64_t(u64()); }
-
-    double
-    f64()
-    {
-        std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    std::string
-    str()
-    {
-        std::uint64_t len = u64();
-        need(len);
-        std::string s(reinterpret_cast<const char *>(data_ + pos_),
-                      std::size_t(len));
-        pos_ += std::size_t(len);
-        return s;
+        if constexpr (requires(Reader &r) { v.transfer(r); }) {
+            v.transfer(*this);
+        } else if constexpr (std::is_same_v<T, bool>) {
+            std::uint8_t b = 0;
+            field(b);
+            if (b > 1)
+                fail("boolean field holds " + std::to_string(b));
+            v = b != 0;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            std::uint64_t len = 0;
+            field(len);
+            need(len);
+            v.assign(reinterpret_cast<const char *>(data_ + pos_),
+                     std::size_t(len));
+            pos_ += std::size_t(len);
+        } else if constexpr (std::is_enum_v<T>) {
+            std::underlying_type_t<T> raw = 0;
+            field(raw);
+            v = T(raw);
+        } else if constexpr (std::is_same_v<T, double>) {
+            std::uint64_t bits = 0;
+            field(bits);
+            v = std::bit_cast<double>(bits);
+        } else {
+            static_assert(std::is_integral_v<T>, "no snapshot encoding");
+            need(sizeof(T));
+            std::make_unsigned_t<T> u = 0;
+            for (unsigned i = 0; i < sizeof(T); ++i)
+                u |= std::make_unsigned_t<T>(data_[pos_ + i]) << (8 * i);
+            pos_ += sizeof(T);
+            v = T(u);
+        }
     }
 
     void
-    blob(void *out, std::size_t len)
+    bytes(void *out, std::size_t len)
     {
         need(len);
         std::memcpy(out, data_ + pos_, len);
@@ -217,35 +231,64 @@ class Reader
     }
 
     /**
-     * A u64 that will be used as an element count: additionally bounded
-     * by the bytes remaining, assuming each element costs at least
-     * @p min_elem_bytes, so a mangled length field cannot trigger a
-     * multi-gigabyte allocation before the next read fails.
+     * Empty @p container and resize it to a stored element count. The
+     * count is bounded by the bytes remaining, at @p min_elem_bytes per
+     * element, so a mangled length field cannot trigger a multi-gigabyte
+     * allocation before the next read fails.
      */
-    std::uint64_t
-    count(std::uint64_t min_elem_bytes = 1)
+    template <typename C>
+    void
+    size(C &container, std::uint64_t min_elem_bytes)
     {
-        std::uint64_t n = u64();
-        std::uint64_t limit = remaining() / (min_elem_bytes ? min_elem_bytes
-                                                            : 1);
-        if (n > limit) {
+        std::uint64_t n = 0;
+        field(n);
+        if (n > remaining() / (min_elem_bytes ? min_elem_bytes : 1)) {
             fail("element count " + std::to_string(n) +
                  " exceeds remaining payload");
         }
-        return n;
+        container.clear();
+        container.resize(std::size_t(n));
+    }
+
+    /** A count fixed by the configuration; fails naming @p what. */
+    template <typename T>
+    void
+    fixedCount(T configured, std::string_view what)
+    {
+        T n{};
+        field(n);
+        if (n != configured) {
+            fail(std::string(what) + " mismatch: snapshot " +
+                 std::to_string(n) + ", configured " +
+                 std::to_string(configured));
+        }
+    }
+
+    /** Fail unless @p ok; @p what is a message or a callable making one. */
+    template <typename Msg>
+    void
+    check(bool ok, const Msg &what)
+    {
+        if (ok)
+            return;
+        if constexpr (std::is_invocable_v<const Msg &>)
+            fail(what());
+        else
+            fail(what);
     }
 
     /** Enter a section; the tag must match and the framing must fit. */
     void
-    expectSection(const char tag[4])
+    section(const char tag[4])
     {
         char got[5] = {};
-        blob(got, 4);
+        bytes(got, 4);
         if (std::memcmp(got, tag, 4) != 0) {
             fail(std::string("expected section '") + std::string(tag, 4) +
                  "', found '" + got + "'");
         }
-        std::uint64_t len = u64();
+        std::uint64_t len = 0;
+        field(len);
         if (len > remaining())
             fail(std::string("section '") + std::string(tag, 4) +
                  "' length " + std::to_string(len) + " overruns payload");
@@ -296,6 +339,11 @@ class Reader
     std::size_t pos_ = 0;
     std::vector<std::size_t> sectionEnds_;
 };
+
+/** Instantiate Class::transfer for both archives, in Class's .cc. */
+#define OVL_SNAPSHOT_INSTANTIATE(Class)                                     \
+    template void Class::transfer(::ovl::snapshot::Writer &);             \
+    template void Class::transfer(::ovl::snapshot::Reader &)
 
 /**
  * On-disk envelope: magic + format version + payload length, then the

@@ -220,81 +220,46 @@ Group::resetStats()
 // --------------------------- serialization -----------------------------
 
 void
-Counter::serializeValue(snapshot::Writer &w) const
+Counter::transferValue(Archive ar)
 {
-    w.u64(value_);
+    std::visit([&](auto *a) { a->field(value_); }, ar);
 }
 
 void
-Counter::deserializeValue(snapshot::Reader &r)
+Gauge::transferValue(Archive ar)
 {
-    value_ = r.u64();
+    std::visit([&](auto *a) { a->field(value_); }, ar);
 }
 
 void
-Gauge::serializeValue(snapshot::Writer &w) const
-{
-    w.i64(value_);
-}
-
-void
-Gauge::deserializeValue(snapshot::Reader &r)
-{
-    value_ = r.i64();
-}
-
-void
-Histogram::serializeValue(snapshot::Writer &w) const
+Histogram::transferValue(Archive ar)
 {
     // Geometry (bucket width/count) is construction-time configuration,
     // not state: only the populated values travel.
-    w.u64(buckets_.size());
-    for (std::uint64_t b : buckets_)
-        w.u64(b);
-    w.u64(overflow_);
-    w.u64(samples_);
-    w.u64(sum_);
-    w.u64(min_);
-    w.u64(max_);
+    std::visit(
+        [&](auto *a) {
+            a->fixedCount(buckets_.size(),
+                          "histogram '" + name() + "' bucket count");
+            for (std::uint64_t &b : buckets_)
+                a->field(b);
+            a->field(overflow_);
+            a->field(samples_);
+            a->field(sum_);
+            a->field(min_);
+            a->field(max_);
+        },
+        ar);
 }
 
+template <typename Ar>
 void
-Histogram::deserializeValue(snapshot::Reader &r)
+Group::transfer(Ar &ar)
 {
-    std::uint64_t n = r.u64();
-    if (n != buckets_.size()) {
-        r.fail("histogram '" + name() + "' bucket count " +
-               std::to_string(n) + " != configured " +
-               std::to_string(buckets_.size()));
-    }
-    for (std::uint64_t &b : buckets_)
-        b = r.u64();
-    overflow_ = r.u64();
-    samples_ = r.u64();
-    sum_ = r.u64();
-    min_ = r.u64();
-    max_ = r.u64();
-}
-
-void
-Group::serializeStats(snapshot::Writer &w) const
-{
-    w.u64(infos_.size());
-    for (const Info *info : infos_)
-        info->serializeValue(w);
-}
-
-void
-Group::deserializeStats(snapshot::Reader &r)
-{
-    std::uint64_t n = r.u64();
-    if (n != infos_.size()) {
-        r.fail("stats group '" + name_ + "' has " +
-               std::to_string(infos_.size()) + " stats, snapshot holds " +
-               std::to_string(n));
-    }
+    ar.fixedCount(infos_.size(), "stats group '" + name_ + "' stat count");
     for (Info *info : infos_)
-        info->deserializeValue(r);
+        info->transferValue(&ar);
 }
+
+OVL_SNAPSHOT_INSTANTIATE(Group);
 
 } // namespace ovl::stats

@@ -12,6 +12,7 @@
 #include <functional>
 #include <ostream>
 #include <string>
+#include <variant>
 #include <vector>
 
 namespace ovl::snapshot
@@ -33,6 +34,9 @@ class Group;
  */
 using ScalarVisitor =
     std::function<void(const char *suffix, double value, bool monotonic)>;
+
+/** The snapshot archive a stat's value is saved to or restored from. */
+using Archive = std::variant<snapshot::Writer *, snapshot::Reader *>;
 
 /** Base class for anything registered in a stats Group. */
 class Info
@@ -60,11 +64,8 @@ class Info
     /** Reset to the zero state (counters to 0, histograms emptied). */
     virtual void reset() = 0;
 
-    /** Append the stat's value (not its identity) to a snapshot. */
-    virtual void serializeValue(snapshot::Writer &w) const = 0;
-
-    /** Restore a value written by serializeValue on an identical stat. */
-    virtual void deserializeValue(snapshot::Reader &r) = 0;
+    /** Save or restore the stat's value (not its identity). */
+    virtual void transferValue(Archive ar) = 0;
 
   private:
     std::string name_;
@@ -89,8 +90,7 @@ class Counter : public Info
     void dumpJsonValue(std::ostream &os) const override;
     void eachScalar(const ScalarVisitor &fn) const override;
     void reset() override { value_ = 0; }
-    void serializeValue(snapshot::Writer &w) const override;
-    void deserializeValue(snapshot::Reader &r) override;
+    void transferValue(Archive ar) override;
 
   private:
     std::uint64_t value_ = 0;
@@ -115,8 +115,7 @@ class Gauge : public Info
     void dumpJsonValue(std::ostream &os) const override;
     void eachScalar(const ScalarVisitor &fn) const override;
     void reset() override { value_ = 0; }
-    void serializeValue(snapshot::Writer &w) const override;
-    void deserializeValue(snapshot::Reader &r) override;
+    void transferValue(Archive ar) override;
 
   private:
     std::int64_t value_ = 0;
@@ -145,8 +144,7 @@ class Histogram : public Info
     void dumpJsonValue(std::ostream &os) const override;
     void eachScalar(const ScalarVisitor &fn) const override;
     void reset() override;
-    void serializeValue(snapshot::Writer &w) const override;
-    void deserializeValue(snapshot::Reader &r) override;
+    void transferValue(Archive ar) override;
 
   private:
     std::uint64_t bucketWidth_;
@@ -175,8 +173,7 @@ class Formula : public Info
     void eachScalar(const ScalarVisitor &fn) const override;
     void reset() override {}
     // Formulas derive from other stats; they carry no state of their own.
-    void serializeValue(snapshot::Writer &) const override {}
-    void deserializeValue(snapshot::Reader &) override {}
+    void transferValue(Archive) override {}
 
   private:
     std::function<double()> fn_;
@@ -211,15 +208,12 @@ class Group
     void resetStats();
 
     /**
-     * Serialize every registered stat's value, in registration order.
-     * Restoring requires an identically structured group (same stats,
-     * same order) — guaranteed when both sides are the same SimObject
-     * type built from the same configuration.
+     * Save or restore every registered stat's value, in registration
+     * order. Restoring requires an identically structured group (same
+     * stats, same order) — guaranteed when both sides are the same
+     * SimObject type built from the same configuration.
      */
-    void serializeStats(snapshot::Writer &w) const;
-
-    /** Restore values written by serializeStats. */
-    void deserializeStats(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     std::string name_;

@@ -1066,69 +1066,47 @@ System::forEachStatsGroup(
     }
 }
 
+template <typename Ar>
+void
+System::transfer(Ar &ar)
+{
+    OVL_PROF_SCOPE(SnapshotIo);
+    ar.section("SYS ");
+    ar.fixedCount(std::uint32_t(tlbs_.size()), "TLB count");
+    physMem_.transfer(ar);
+    vmm_.transfer(ar);
+    dramCtrl_.transfer(ar);
+    overlayMgr_.transfer(ar);
+    caches_.transfer(ar);
+    for (const auto &tlb : tlbs_)
+        tlb->transfer(ar);
+    ar.field(memoryBaselineBytes_);
+    ar.field(omsBackingBytes_);
+    ar.field(oreBusyUntil_);
+    ar.section("STAT");
+    std::uint32_t num_groups = 0;
+    forEachStatsGroup([&](const stats::Group *) { ++num_groups; });
+    ar.fixedCount(num_groups, "stats group count");
+    forEachStatsGroup([&](const stats::Group *group) {
+        // forEachStatsGroup exposes const pointers for dump paths; every
+        // visited group is owned (directly or transitively) by this
+        // System, so transferring through it is sound.
+        const_cast<stats::Group *>(group)->transfer(ar);
+    });
+    ar.endSection();
+    ar.endSection();
+}
+
 void
 System::serialize(snapshot::Writer &w)
 {
-    OVL_PROF_SCOPE(SnapshotIo);
-    w.beginSection("SYS ");
-    w.u32(std::uint32_t(tlbs_.size()));
-    physMem_.serialize(w);
-    vmm_.serialize(w);
-    dramCtrl_.serialize(w);
-    overlayMgr_.serialize(w);
-    caches_.serialize(w);
-    for (const auto &tlb : tlbs_)
-        tlb->serialize(w);
-    w.u64(memoryBaselineBytes_);
-    w.u64(omsBackingBytes_);
-    w.u64(oreBusyUntil_);
-    w.beginSection("STAT");
-    std::uint32_t num_groups = 0;
-    forEachStatsGroup([&](const stats::Group *) { ++num_groups; });
-    w.u32(num_groups);
-    forEachStatsGroup(
-        [&](const stats::Group *group) { group->serializeStats(w); });
-    w.endSection();
-    w.endSection();
+    transfer(w);
 }
 
 void
 System::deserialize(snapshot::Reader &r)
 {
-    OVL_PROF_SCOPE(SnapshotIo);
-    r.expectSection("SYS ");
-    std::uint32_t num_tlbs = r.u32();
-    if (num_tlbs != tlbs_.size()) {
-        r.fail("TLB count mismatch: snapshot " + std::to_string(num_tlbs) +
-               ", configured " + std::to_string(tlbs_.size()));
-    }
-    physMem_.deserialize(r);
-    vmm_.deserialize(r);
-    dramCtrl_.deserialize(r);
-    overlayMgr_.deserialize(r);
-    caches_.deserialize(r);
-    for (const auto &tlb : tlbs_)
-        tlb->deserialize(r);
-    memoryBaselineBytes_ = r.u64();
-    omsBackingBytes_ = r.u64();
-    oreBusyUntil_ = r.u64();
-    r.expectSection("STAT");
-    std::uint32_t num_groups = r.u32();
-    std::uint32_t expected = 0;
-    forEachStatsGroup([&](const stats::Group *) { ++expected; });
-    if (num_groups != expected) {
-        r.fail("stats group count mismatch: snapshot " +
-               std::to_string(num_groups) + ", this machine has " +
-               std::to_string(expected));
-    }
-    forEachStatsGroup([&](const stats::Group *group) {
-        // forEachStatsGroup exposes const pointers for dump paths; every
-        // visited group is owned (directly or transitively) by this
-        // System, so restoring through it is sound.
-        const_cast<stats::Group *>(group)->deserializeStats(r);
-    });
-    r.endSection();
-    r.endSection();
+    transfer(r);
 }
 
 std::unique_ptr<System>

@@ -324,9 +324,8 @@ class System : public SimObject
      * Serialize the entire machine — memory contents, page tables,
      * overlay engine, caches, TLBs, DRAM timing state, accounting and
      * every component's statistics — into @p w. The attached stats
-     * sampler (if any) is not part of the snapshot. Non-const only
-     * because the stats traversal reuses forEachStatsGroup; no state is
-     * modified.
+     * sampler (if any) is not part of the snapshot. Non-const because
+     * save and restore share one transfer(); no state is modified.
      */
     void serialize(snapshot::Writer &w);
 
@@ -350,6 +349,9 @@ class System : public SimObject
     std::unique_ptr<System> clone(const SystemConfig &config);
 
   private:
+    /** The machine's snapshot layout, for serialize and deserialize. */
+    template <typename Ar> void transfer(Ar &ar);
+
     /** Overlay line address of (asid, vaddr)'s line. */
     static Addr
     overlayLineAddr(Asid asid, Addr vaddr)

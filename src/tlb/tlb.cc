@@ -130,73 +130,61 @@ TwoLevelTlb::updateObvBit(Asid asid, Addr vpn, unsigned line_in_page,
     return upper || lower;
 }
 
+template <typename Ar>
 void
-Tlb::serialize(snapshot::Writer &w) const
+Tlb::transfer(Ar &ar)
 {
-    w.beginSection("TLB ");
-    w.u64(keys_.size());
-    for (std::uint64_t key : keys_)
-        w.u64(key);
-    for (const Way &way : ways_) {
-        w.u64(way.data.ppn);
-        w.b(way.data.writable);
-        w.b(way.data.cow);
-        w.b(way.data.overlayEnabled);
-        w.b(way.data.metadataMode);
-        w.u64(way.data.obv.raw());
-        w.u64(way.lruSeq);
-    }
-    w.u64(lruCounter_);
-    w.u64(asidEntries_.size());
-    for (std::uint32_t n : asidEntries_)
-        w.u32(n);
-    w.endSection();
-}
-
-void
-Tlb::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("TLB ");
-    std::uint64_t n = r.u64();
-    if (n != keys_.size()) {
-        r.fail("TLB '" + name() + "' way count mismatch: snapshot " +
-               std::to_string(n) + ", configured " +
-               std::to_string(keys_.size()));
-    }
+    ar.section("TLB ");
+    ar.fixedCount(keys_.size(), "TLB '" + name() + "' way count");
     for (std::uint64_t &key : keys_)
-        key = r.u64();
+        ar.field(key);
     for (Way &way : ways_) {
-        way.data.ppn = r.u64();
-        way.data.writable = r.b();
-        way.data.cow = r.b();
-        way.data.overlayEnabled = r.b();
-        way.data.metadataMode = r.b();
-        way.data.obv = BitVector64(r.u64());
-        way.lruSeq = r.u64();
+        ar.field(way.data.ppn);
+        ar.field(way.data.writable);
+        ar.field(way.data.cow);
+        ar.field(way.data.overlayEnabled);
+        ar.field(way.data.metadataMode);
+        ar.field(way.data.obv);
+        ar.field(way.lruSeq);
     }
-    lruCounter_ = r.u64();
-    asidEntries_.resize(r.count(4));
-    for (std::uint32_t &cnt : asidEntries_)
-        cnt = r.u32();
-    r.endSection();
+    ar.field(lruCounter_);
+    ar.size(asidEntries_, 4);
+    for (std::uint32_t &n : asidEntries_)
+        ar.field(n);
+    if constexpr (Ar::kLoading) {
+        // The per-ASID counts are indexed by every resident key's ASID
+        // on eviction: they must be exactly the keys' own tally.
+        std::vector<std::uint32_t> tally(asidEntries_.size(), 0);
+        for (std::uint64_t key : keys_) {
+            if (key == kNoKey)
+                continue;
+            std::uint64_t asid = key >> kVpnBits;
+            ar.check(asid == asidOf(key) && asid < tally.size(), [&] {
+                return "TLB '" + name() + "' entry of ASID " +
+                       std::to_string(asid) + " has no per-ASID count";
+            });
+            ++tally[asid];
+        }
+        ar.check(tally == asidEntries_, [&] {
+            return "TLB '" + name() + "' per-ASID counts disagree with "
+                   "its entries";
+        });
+    }
+    ar.endSection();
 }
 
+OVL_SNAPSHOT_INSTANTIATE(Tlb);
+
+template <typename Ar>
 void
-TwoLevelTlb::serialize(snapshot::Writer &w) const
+TwoLevelTlb::transfer(Ar &ar)
 {
-    w.beginSection("TLB2");
-    l1_.serialize(w);
-    l2_.serialize(w);
-    w.endSection();
+    ar.section("TLB2");
+    l1_.transfer(ar);
+    l2_.transfer(ar);
+    ar.endSection();
 }
 
-void
-TwoLevelTlb::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("TLB2");
-    l1_.deserialize(r);
-    l2_.deserialize(r);
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(TwoLevelTlb);
 
 } // namespace ovl

@@ -176,8 +176,7 @@ class Tlb : public SimObject
     std::uint64_t misses() const { return misses_.value(); }
 
     /** Snapshot keys, entry payloads, recency and per-ASID counts. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     /** Payload of one way; the (asid, vpn) tag lives in keys_. */
@@ -316,8 +315,7 @@ class TwoLevelTlb : public SimObject
     Tlb &l2() { return l2_; }
 
     /** Snapshot both levels. */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     TlbHierarchyParams params_;

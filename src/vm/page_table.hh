@@ -213,68 +213,49 @@ class PageTable
         }
     }
 
+    /** Save or restore the directory, every leaf and the PTE count. */
+    template <typename Ar>
     void
-    serialize(snapshot::Writer &w) const
+    transfer(Ar &ar)
     {
-        w.beginSection("PGTB");
-        w.u64(dir_.size());
-        for (const DirEntry &e : dir_) {
-            w.u64(e.chunk);
-            for (std::uint64_t word : e.leaf->present)
-                w.u64(word);
-            for (const Pte &pte : e.leaf->ptes) {
-                w.u64(pte.ppn);
+        ar.section("PGTB");
+        ar.size(dir_, 8 + kLeafEntries);
+        for (std::size_t i = 0; i < dir_.size(); ++i) {
+            DirEntry &e = dir_[i];
+            ar.field(e.chunk);
+            ar.check(i == 0 || e.chunk > dir_[i - 1].chunk,
+                     "page-table directory not strictly ascending");
+            if (!e.leaf)
+                e.leaf = std::make_unique<Leaf>();
+            for (std::uint64_t &word : e.leaf->present)
+                ar.field(word);
+            for (unsigned off = 0; off < kLeafEntries; ++off) {
+                Pte &pte = e.leaf->ptes[off];
+                ar.field(pte.ppn);
                 std::uint8_t flags =
                     (pte.present ? 1 : 0) | (pte.writable ? 2 : 0) |
                     (pte.cow ? 4 : 0) | (pte.overlayEnabled ? 8 : 0) |
                     (pte.metadataMode ? 16 : 0);
-                w.u8(flags);
-            }
-            w.u32(e.leaf->count);
-        }
-        w.u64(size_);
-        w.endSection();
-    }
-
-    void
-    deserialize(snapshot::Reader &r)
-    {
-        r.expectSection("PGTB");
-        dir_.clear();
-        cachedChunk_ = kNoChunk;
-        cachedLeaf_ = nullptr;
-        std::uint64_t leaves = r.count(8 + kLeafEntries);
-        dir_.reserve(leaves);
-        Addr prev_chunk = 0;
-        for (std::uint64_t i = 0; i < leaves; ++i) {
-            Addr chunk = r.u64();
-            if (i > 0 && chunk <= prev_chunk)
-                r.fail("page-table directory not strictly ascending");
-            prev_chunk = chunk;
-            auto leaf = std::make_unique<Leaf>();
-            for (std::uint64_t &word : leaf->present)
-                word = r.u64();
-            for (unsigned off = 0; off < kLeafEntries; ++off) {
-                Pte &pte = leaf->ptes[off];
-                pte.ppn = r.u64();
-                std::uint8_t flags = r.u8();
-                if (flags & ~0x1F)
-                    r.fail("unknown PTE flag bits");
+                ar.field(flags);
+                ar.check(!(flags & ~0x1F), "unknown PTE flag bits");
                 // fork copies leaves whole: a slot outside the bitmap
                 // must hold nothing for the copy to equal a per-page one.
-                if (!leaf->test(off) && (pte.ppn != 0 || flags != 0))
-                    r.fail("PTE outside the present bitmap");
+                ar.check(e.leaf->test(off) || (pte.ppn == 0 && flags == 0),
+                         "PTE outside the present bitmap");
                 pte.present = flags & 1;
                 pte.writable = flags & 2;
                 pte.cow = flags & 4;
                 pte.overlayEnabled = flags & 8;
                 pte.metadataMode = flags & 16;
             }
-            leaf->count = r.u32();
-            dir_.push_back(DirEntry{chunk, std::move(leaf)});
+            ar.field(e.leaf->count);
         }
-        size_ = r.u64();
-        r.endSection();
+        ar.field(size_);
+        if constexpr (Ar::kLoading) {
+            cachedChunk_ = kNoChunk;
+            cachedLeaf_ = nullptr;
+        }
+        ar.endSection();
     }
 
   private:

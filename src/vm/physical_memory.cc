@@ -76,68 +76,47 @@ PhysicalMemory::framePtr(Addr frame)
     return slot.get();
 }
 
+template <typename Ar>
 void
-PhysicalMemory::serialize(snapshot::Writer &w) const
+PhysicalMemory::transfer(Ar &ar)
 {
-    w.beginSection("PMEM");
-    w.u64(capacityBytes_);
-    w.u64(nextFrame_);
-    w.u64(framesInUse_);
-    w.u64(freeFrames_.size());
-    for (Addr f : freeFrames_)
-        w.u64(f);
-    w.u64(refCounts_.size());
-    for (unsigned rc : refCounts_)
-        w.u32(rc);
+    ar.section("PMEM");
+    ar.fixedCount(capacityBytes_, "physical memory capacity");
+    ar.field(nextFrame_);
+    ar.field(framesInUse_);
+    ar.size(freeFrames_, 8);
+    for (Addr &f : freeFrames_)
+        ar.field(f);
+    ar.size(refCounts_, 4);
+    for (unsigned &rc : refCounts_)
+        ar.field(rc);
+    if constexpr (Ar::kLoading) {
+        contents_.clear();
+        contents_.resize(refCounts_.size());
+        pagePool_.clear();
+    }
     // Page contents: only materialized frames carry data; null slots
     // read as zero and must stay null so memory accounting matches.
-    std::uint64_t materialized = 0;
-    for (const auto &slot : contents_)
-        if (slot)
-            ++materialized;
-    w.u64(materialized);
+    std::vector<std::uint64_t> materialized;
     for (std::size_t f = 0; f < contents_.size(); ++f) {
-        if (contents_[f]) {
-            w.u64(f);
-            w.blob(contents_[f]->data(), kPageSize);
-        }
+        if (contents_[f])
+            materialized.push_back(f);
     }
-    w.endSection();
+    ar.size(materialized, 8 + kPageSize);
+    for (std::uint64_t &f : materialized) {
+        ar.field(f);
+        ar.check(f < contents_.size(), [&] {
+            return "materialized frame " + std::to_string(f) +
+                   " out of range";
+        });
+        if (!contents_[f])
+            contents_[f] = std::make_unique<PageData>();
+        ar.bytes(contents_[f]->data(), kPageSize);
+    }
+    ar.endSection();
 }
 
-void
-PhysicalMemory::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("PMEM");
-    std::uint64_t capacity = r.u64();
-    if (capacity != capacityBytes_) {
-        r.fail("physical memory capacity mismatch: snapshot " +
-               std::to_string(capacity) + ", system " +
-               std::to_string(capacityBytes_));
-    }
-    nextFrame_ = r.u64();
-    framesInUse_ = r.u64();
-    freeFrames_.resize(r.count(8));
-    for (Addr &f : freeFrames_)
-        f = r.u64();
-    std::uint64_t num_frames = r.count(4);
-    refCounts_.assign(num_frames, 0);
-    for (unsigned &rc : refCounts_)
-        rc = r.u32();
-    contents_.clear();
-    contents_.resize(num_frames);
-    pagePool_.clear();
-    std::uint64_t materialized = r.count(8 + kPageSize);
-    for (std::uint64_t i = 0; i < materialized; ++i) {
-        std::uint64_t f = r.u64();
-        if (f >= contents_.size())
-            r.fail("materialized frame " + std::to_string(f) +
-                   " out of range");
-        contents_[f] = std::make_unique<PageData>();
-        r.blob(contents_[f]->data(), kPageSize);
-    }
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(PhysicalMemory);
 
 void
 PhysicalMemory::copyFrame(Addr dst_frame, Addr src_frame)

@@ -79,8 +79,7 @@ class PhysicalMemory : public SimObject
      * simulated state, and is not serialized: recycled frames are
      * zero-filled on reuse either way.
      */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     /** release()'s cold half: retire @p frame, whose count hit zero. */

@@ -131,35 +131,24 @@ Vmm::breakCow(Asid asid, Addr vpn, bool *copied)
     return new_frame;
 }
 
+template <typename Ar>
 void
-Vmm::serialize(snapshot::Writer &w) const
+Vmm::transfer(Ar &ar)
 {
-    w.beginSection("VMM ");
-    w.u64(processes_.size());
-    for (const auto &proc : processes_) {
-        w.u16(proc->asid);
-        proc->pageTable.serialize(w);
+    ar.section("VMM ");
+    ar.size(processes_, 2);
+    for (std::size_t i = 0; i < processes_.size(); ++i) {
+        std::unique_ptr<Process> &proc = processes_[i];
+        if (!proc)
+            proc = std::make_unique<Process>();
+        ar.field(proc->asid);
+        ar.check(proc->asid == i, "process table ASIDs are not dense");
+        proc->pageTable.transfer(ar);
     }
-    w.endSection();
+    ar.endSection();
 }
 
-void
-Vmm::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("VMM ");
-    std::uint64_t n = r.count(2);
-    processes_.clear();
-    processes_.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-        auto proc = std::make_unique<Process>();
-        proc->asid = r.u16();
-        if (proc->asid != i)
-            r.fail("process table ASIDs are not dense");
-        proc->pageTable.deserialize(r);
-        processes_.push_back(std::move(proc));
-    }
-    r.endSection();
-}
+OVL_SNAPSHOT_INSTANTIATE(Vmm);
 
 void
 Vmm::protect(Asid asid, Addr vaddr, std::uint64_t len, bool writable)

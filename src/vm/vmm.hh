@@ -139,8 +139,7 @@ class Vmm : public SimObject
     std::uint64_t cowBreaks() const { return cowBreaks_.value(); }
 
     /** Snapshot the process table (ASIDs + page tables). */
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 
   private:
     PhysicalMemory &physMem_;

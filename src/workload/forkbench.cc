@@ -162,72 +162,43 @@ struct StreamPhaseState
      */
     double freshFraction = 1.0;
 
-    void serialize(snapshot::Writer &w) const;
-    void deserialize(snapshot::Reader &r);
+    template <typename Ar> void transfer(Ar &ar);
 };
 
+template <typename Ar>
 void
-StreamPhaseState::serialize(snapshot::Writer &w) const
+StreamPhaseState::transfer(Ar &ar)
 {
-    w.beginSection("PHST");
-    w.u64(budget);
-    w.b(hasSchedule);
+    ar.section("PHST");
+    ar.field(budget);
+    ar.field(hasSchedule);
     if (hasSchedule) {
-        w.u64(schedule.addrs.size());
-        for (Addr a : schedule.addrs)
-            w.u64(a);
-        w.u64(schedule.next);
-    }
-    w.u64(rewritePool.size());
-    for (Addr a : rewritePool)
-        w.u64(a);
-    w.u32(burstRemaining);
-    for (Addr a : recent)
-        w.u64(a);
-    w.u32(recentCount);
-    w.u32(recentHead);
-    w.u64(streamLine);
-    w.f64(freshFraction);
-    w.endSection();
-}
-
-void
-StreamPhaseState::deserialize(snapshot::Reader &r)
-{
-    r.expectSection("PHST");
-    budget = r.u64();
-    hasSchedule = r.b();
-    schedule = WriteSchedule{};
-    if (hasSchedule) {
-        std::uint64_t n = r.count(8);
-        schedule.addrs.resize(std::size_t(n));
+        ar.size(schedule.addrs, 8);
         for (Addr &a : schedule.addrs)
-            a = r.u64();
-        std::uint64_t next = r.u64();
-        if (next > schedule.addrs.size()) {
-            r.fail("write-schedule cursor " + std::to_string(next) +
+            ar.field(a);
+        ar.field(schedule.next);
+        ar.check(schedule.next <= schedule.addrs.size(), [&] {
+            return "write-schedule cursor " + std::to_string(schedule.next) +
                    " past its " + std::to_string(schedule.addrs.size()) +
-                   " entries");
-        }
-        schedule.next = std::size_t(next);
+                   " entries";
+        });
     }
-    std::uint64_t pool = r.count(8);
-    rewritePool.resize(std::size_t(pool));
+    ar.size(rewritePool, 8);
     for (Addr &a : rewritePool)
-        a = r.u64();
-    burstRemaining = r.u32();
+        ar.field(a);
+    ar.field(burstRemaining);
     for (Addr &a : recent)
-        a = r.u64();
-    recentCount = r.u32();
-    recentHead = r.u32();
-    if (recentCount > kRecent || recentHead >= kRecent) {
-        r.fail("recent-window cursor out of range (count " +
+        ar.field(a);
+    ar.field(recentCount);
+    ar.field(recentHead);
+    ar.check(recentCount <= kRecent && recentHead < kRecent, [&] {
+        return "recent-window cursor out of range (count " +
                std::to_string(recentCount) + ", head " +
-               std::to_string(recentHead) + ")");
-    }
-    streamLine = r.u64();
-    freshFraction = r.f64();
-    r.endSection();
+               std::to_string(recentHead) + ")";
+    });
+    ar.field(streamLine);
+    ar.field(freshFraction);
+    ar.endSection();
 }
 
 /** Phase-start state: full budget, cursors at zero, pacing computed. */
@@ -515,25 +486,16 @@ struct ForkBenchRun
      * The machine record, one order for the WARM payload and the FKCP
      * checkpoint: RNG state, core, system.
      */
+    template <typename Ar>
     void
-    save(snapshot::Writer &w)
+    transfer(Ar &ar)
     {
-        for (std::uint64_t v : rng.rawState())
-            w.u64(v);
-        core.serialize(w);
-        system.serialize(w);
-    }
-
-    /** Restore a record written by save(). */
-    void
-    load(snapshot::Reader &r)
-    {
-        std::array<std::uint64_t, 4> raw;
-        for (std::uint64_t &v : raw)
-            v = r.u64();
-        rng.setRawState(raw);
-        core.deserialize(r);
-        system.deserialize(r);
+        ar.field(rng);
+        ar.field(core);
+        if constexpr (Ar::kLoading)
+            system.deserialize(ar);
+        else
+            system.serialize(ar);
     }
 };
 
@@ -818,8 +780,8 @@ prepareForkBenchWarmState(const ForkBenchParams &params, SystemConfig config)
     warm.warmupEnd = run.forkStart;
     warm.parent = run.parent;
     snapshot::Writer w;
-    w.beginSection("WARM");
-    run.save(w);
+    w.section("WARM");
+    run.transfer(w);
     w.endSection();
     warm.machine = w.takeBuffer();
     return warm;
@@ -834,8 +796,8 @@ runForkBenchFromWarmState(const ForkBenchWarmState &warm, ForkMode mode,
                                       ? *config_override
                                       : warm.config);
     snapshot::Reader r(warm.machine);
-    r.expectSection("WARM");
-    run.load(r);
+    r.section("WARM");
+    run.transfer(r);
     r.endSection();
     if (!r.atEnd())
         r.fail("trailing bytes after warm-state payload");
@@ -868,15 +830,15 @@ runForkBenchCheckpointed(const ForkBenchParams &params, ForkMode mode,
     // executed run is op-for-op the uninterrupted run.
     auto write_checkpoint = [&]() {
         snapshot::Writer w;
-        w.beginSection("FKCP");
-        w.str(params.name);
-        w.u8(mode == ForkMode::CopyOnWrite ? 0 : 1);
-        w.u64(params.postForkInstructions);
-        w.u16(run.parent);
-        w.u64(run.forkStart);
-        w.u64(run.forkDone);
-        st.serialize(w);
-        run.save(w);
+        w.section("FKCP");
+        w.field(params.name);
+        w.field(std::uint8_t(mode == ForkMode::CopyOnWrite ? 0 : 1));
+        w.field(params.postForkInstructions);
+        w.field(run.parent);
+        w.field(run.forkStart);
+        w.field(run.forkDone);
+        w.field(st);
+        run.transfer(w);
         w.endSection();
         snapshot::writeSnapshotFile(ckpt.path, w.buffer());
     };
@@ -912,9 +874,10 @@ resumeForkBenchCheckpoint(const std::string &path)
 {
     std::vector<std::uint8_t> payload = snapshot::readSnapshotFile(path);
     snapshot::Reader r(payload);
-    r.expectSection("FKCP");
+    r.section("FKCP");
 
-    std::string name = r.str();
+    std::string name;
+    r.field(name);
     ForkBenchParams params;
     bool known = false;
     for (const ForkBenchParams &p : forkBenchSuite()) {
@@ -927,31 +890,29 @@ resumeForkBenchCheckpoint(const std::string &path)
     if (!known)
         r.fail("checkpoint names unknown benchmark '" + name + "'");
 
-    std::uint8_t mode_raw = r.u8();
+    std::uint8_t mode_raw = 0;
+    r.field(mode_raw);
     if (mode_raw > 1)
         r.fail("invalid fork mode " + std::to_string(mode_raw));
-    params.postForkInstructions = r.u64();
-    Asid parent = r.u16();
-    Tick t = r.u64();
-    Tick fork_done = r.u64();
-    StreamPhaseState st;
-    st.deserialize(r);
+    r.field(params.postForkInstructions);
 
     // `overlaysim forkbench` runs the default machine configuration;
     // structural mismatches between it and the checkpointed machine are
-    // caught by the per-component deserialize checks in load().
+    // caught by the per-component checks in transfer().
     ForkBenchRun run(params, SystemConfig{});
     run.mode = mode_raw == 0 ? ForkMode::CopyOnWrite
                              : ForkMode::OverlayOnWrite;
-    run.parent = parent;
-    run.forkStart = t;
-    run.forkDone = fork_done;
-    run.load(r);
+    r.field(run.parent);
+    r.field(run.forkStart);
+    r.field(run.forkDone);
+    StreamPhaseState st;
+    r.field(st);
+    run.transfer(r);
     r.endSection();
     if (!r.atEnd())
         r.fail("trailing bytes after checkpoint payload");
-    if (parent >= run.system.vmm().processCount()) {
-        r.fail("checkpoint parent ASID " + std::to_string(parent) +
+    if (run.parent >= run.system.vmm().processCount()) {
+        r.fail("checkpoint parent ASID " + std::to_string(run.parent) +
                " not among the " +
                std::to_string(run.system.vmm().processCount()) +
                " restored processes");

@@ -283,6 +283,27 @@ makeCheckpointFile()
     return path;
 }
 
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t> &bytes)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(CheckpointRestore, FileBytesArePinned)
+{
+    // The whole file: envelope, checkpoint header, write-phase state,
+    // fork-bench RNG, core and System. A layout change (field order or
+    // width in any component) moves this hash; so does a model change,
+    // which re-pins it alongside the golden stats.
+    EXPECT_EQ(fnv1a(readFileBytes(makeCheckpointFile())),
+              0x9799a8ee93ad8f9ull);
+}
+
 TEST(SnapshotHardening, MissingFileThrows)
 {
     EXPECT_THROW(resumeForkBenchCheckpoint(::testing::TempDir() +
@@ -354,6 +375,94 @@ TEST(SnapshotHardening, FuzzedPayloadsNeverInvokeUndefinedBehavior)
             fresh.deserialize(r);
         } catch (const snapshot::SnapshotError &) {
             // expected for most flips
+        }
+    }
+}
+
+/** Offset of the section that follows the one framed at @p at. */
+std::size_t
+nextSection(const std::vector<std::uint8_t> &bytes, std::size_t at)
+{
+    std::uint64_t len = 0;
+    for (unsigned i = 0; i < 8; ++i)
+        len |= std::uint64_t(bytes.at(at + 4 + i)) << (8 * i);
+    return at + 4 + 8 + std::size_t(len);
+}
+
+TEST(SnapshotHardening, TlbEntryWithUntrackedAsidThrows)
+{
+    // A restored TLB entry whose ASID has no per-ASID count would index
+    // past that table on its first eviction; restore must reject it.
+    Scenario sc;
+    snapshot::Writer w;
+    sc.sys.serialize(w);
+    std::vector<std::uint8_t> bytes = w.takeBuffer();
+
+    // SYS header + u32 TLB count, then PMEM, VMM, DCTL, OVLM and HIER.
+    std::size_t at = 4 + 8 + 4;
+    for (unsigned i = 0; i < 5; ++i)
+        at = nextSection(bytes, at);
+    ASSERT_EQ(std::string(bytes.begin() + long(at),
+                          bytes.begin() + long(at) + 4),
+              "TLB2");
+    // The L1 TLB: its header, the way count, then one u64 key per way.
+    std::size_t l1 = at + 12;
+    ASSERT_EQ(std::string(bytes.begin() + long(l1),
+                          bytes.begin() + long(l1) + 4),
+              "TLB ");
+    std::size_t keys = l1 + 12 + 8;
+    std::size_t live = 0;
+    while (bytes.at(keys + live * 8 + 7) == 0xFF)
+        ++live; // empty ways hold all-ones keys
+    // ASID bits sit at 44..59 of the key: make it ASID 0xABC.
+    std::size_t hi = keys + live * 8 + 5;
+    bytes[hi] = std::uint8_t((bytes[hi] & 0x0F) | 0xC0);
+    bytes[hi + 1] = 0xAB;
+    bytes[hi + 2] = 0x00;
+
+    System fresh((SystemConfig()));
+    snapshot::Reader r(bytes);
+    EXPECT_THROW(fresh.deserialize(r), snapshot::SnapshotError);
+}
+
+TEST(SnapshotHardening, StructuralMismatchNamesTheComponent)
+{
+    // DESIGN.md section 11.1: each component checks the structure it was
+    // built with against the snapshot's, and says which one differs.
+    Scenario sc;
+    snapshot::Writer w;
+    sc.sys.serialize(w);
+    const std::vector<std::uint8_t> bytes = w.takeBuffer();
+
+    struct Case
+    {
+        const char *field;
+        void (*change)(SystemConfig &);
+        const char *component;
+    };
+    const Case cases[] = {
+        {"L1 cache size",
+         [](SystemConfig &c) { c.caches.l1.sizeBytes *= 2; },
+         "cache 'system.caches.l1' line count"},
+        {"L1 TLB entries", [](SystemConfig &c) { c.tlb.l1.entries *= 2; },
+         "TLB 'system.tlb0.l1' way count"},
+        {"DRAM banks", [](SystemConfig &c) { c.dram.numBanks *= 2; },
+         "DRAM bank count"},
+        {"numTlbs", [](SystemConfig &c) { c.numTlbs = 2; }, "TLB count"},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.field);
+        SystemConfig cfg;
+        c.change(cfg);
+        System other(cfg);
+        snapshot::Reader r(bytes);
+        try {
+            other.deserialize(r);
+            ADD_FAILURE() << "restore into a changed machine succeeded";
+        } catch (const snapshot::SnapshotError &e) {
+            EXPECT_NE(std::string(e.what()).find(c.component),
+                      std::string::npos)
+                << e.what();
         }
     }
 }

@@ -153,10 +153,10 @@ constexpr std::uint64_t kMemBytes = 64_MiB;
 
 /** The serialized (PGTB) bytes of @p table. */
 std::vector<std::uint8_t>
-tableBytes(const PageTable &table)
+tableBytes(PageTable &table)
 {
     snapshot::Writer w;
-    table.serialize(w);
+    table.transfer(w);
     return w.takeBuffer();
 }
 
@@ -193,8 +193,8 @@ struct VmState
     explicit VmState(const std::vector<std::uint8_t> &image)
     {
         snapshot::Reader r(image);
-        mem.deserialize(r);
-        vmm.deserialize(r);
+        mem.transfer(r);
+        vmm.transfer(r);
     }
 };
 
@@ -257,8 +257,8 @@ randomTable(std::uint64_t seed)
     }
 
     snapshot::Writer w;
-    mem.serialize(w);
-    vmm.serialize(w);
+    mem.transfer(w);
+    vmm.transfer(w);
     return w.takeBuffer();
 }
 
@@ -281,7 +281,7 @@ TEST_P(LeafFork, MatchesPerPageCopy)
     referenceFork(ref.vmm.process(parent).pageTable,
                   ref.vmm.process(ref_child).pageTable, ref.mem, mode);
 
-    const PageTable &child_table = leaf.vmm.process(child).pageTable;
+    PageTable &child_table = leaf.vmm.process(child).pageTable;
     EXPECT_GT(child_table.size(), 0u);
     EXPECT_LT(child_table.size(),
               leaf.vmm.process(parent).pageTable.size());
@@ -317,7 +317,7 @@ TEST(PageTableRestore, RejectsEntryOutsideBitmap)
     bytes[ppn_at] = 9;
     snapshot::Reader r(bytes);
     PageTable restored;
-    EXPECT_THROW(restored.deserialize(r), snapshot::SnapshotError);
+    EXPECT_THROW(restored.transfer(r), snapshot::SnapshotError);
 }
 
 } // namespace
